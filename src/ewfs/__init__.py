@@ -1,7 +1,5 @@
 """Simulator and analysis toolkit for extended Wigner's-friend scenarios."""
 
-from . import assumptions, harness, inequality, models, qcore, scenario, streams
-
 __all__ = [
     "assumptions",
     "harness",

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .models import MODEL_LHV, MODEL_TOY, RunLog, UNDEFINED
 
@@ -93,9 +93,9 @@ def _familywise_k(k: float, comparisons: int) -> float:
     max-over-cells statistic at the single-cell k-sigma level."""
     if comparisons <= 1:
         return k
-    alpha = 2.0 * stats.norm.sf(k)
+    alpha = math.erfc(k / math.sqrt(2.0))  # two-sided tail beyond k sigma
     per_cell = 1.0 - (1.0 - alpha) ** (1.0 / comparisons)
-    return float(stats.norm.isf(per_cell / 2.0))
+    return -NormalDist().inv_cdf(per_cell / 2.0)
 
 
 def _friends_defined(log: RunLog) -> bool:
@@ -260,12 +260,11 @@ LAMBDA_BINNERS = {
 
 def check_settings_independence(
     log: RunLog,
-    binner=None,
     k: float = 3.0,
     min_cell: int = MIN_CELL,
 ) -> AssumptionCheck:
     """rho(lambda | X, Y) = rho(lambda) over the model-declared binning."""
-    binner = binner or LAMBDA_BINNERS.get(log.model)
+    binner = LAMBDA_BINNERS.get(log.model)
     if binner is None:
         return AssumptionCheck(
             "settings_independence", None, None, None,
@@ -280,12 +279,12 @@ def check_settings_independence(
 
 
 def check_all(
-    log: RunLog, k: float = 3.0, min_cell: int = MIN_CELL, binner=None
+    log: RunLog, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionReport:
     checks = dict(check_aoe(log, min_cell))
     checks["nsd"] = check_nsd(log, k, min_cell)
     checks["locality"] = check_locality(log, k, min_cell)
     checks["settings_independence"] = check_settings_independence(
-        log, binner, k, min_cell
+        log, k, min_cell
     )
     return AssumptionReport(checks)

@@ -3,7 +3,8 @@
 A campaign is (scenario x model x trials) under a master seed.  The seed
 fully determines every output byte: settings come from a dedicated stream,
 each trial owns a fixed window of its model stream, and reports carry no
-timestamps.  Trials may execute in parallel chunks with identical results.
+timestamps.  Any split of the trial range into ``run_trials`` blocks gives
+the same rows.
 
 Outputs: a per-run CSV (``trial,X,Y,A,B,C,D,lambda_tag``) and a summary JSON
 with the correlators, CHSH statistics, polytope certificate and assumption
@@ -21,6 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import assumptions as assumptions_mod
 from . import inequality
 from .models import (
@@ -31,19 +34,23 @@ from .models import (
     RunLog,
     ToyOptions,
     run_trials,
-    run_trials_parallel,
 )
 from .scenario import (
     BRUKNER_EWFS,
     STANDARD_BELL,
     ScenarioSpec,
-    SettingsSampler,
     default_scenario,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OUTPUT = 3
+
+CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
+# Rows converted to Python objects at a time while writing runs.csv.
+CSV_BLOCK = 50_000
+# Indexed by a C/D value: 0 (undefined) -> blank, +1 -> 1, -1 -> -1.
+_FRIEND_CELL = np.array(["", 1, -1], dtype=object)
 
 __all__ = [
     "CampaignConfig",
@@ -76,7 +83,7 @@ class CampaignConfig:
                 "alice_settings": list(self.scenario.alice_settings),
                 "bob_settings": list(self.scenario.bob_settings),
                 "trials": self.scenario.trials,
-                "friend_axis": self.scenario.friend_axis,
+                "friend_axis": "z",
             },
             "model": self.model,
             "seed": self.seed,
@@ -135,37 +142,36 @@ def _report_dict(config: CampaignConfig, log: RunLog, ineq, assum) -> dict:
     return report
 
 
+def _lambda_tags(lam: dict, lo: int, hi: int) -> list[str]:
+    """``key=value`` pairs joined by ';' in key order, one tag per row:
+    floats as %.17g, integers plainly."""
+    columns = []
+    for key in sorted(lam):
+        values = lam[key][lo:hi]
+        fmt = "{}={:.17g}" if values.dtype.kind == "f" else "{}={}"
+        columns.append([fmt.format(key, v) for v in values.tolist()])
+    if not columns:
+        return [""] * (hi - lo)
+    return [";".join(parts) for parts in zip(*columns)]
+
+
 def _write_csv(path: Path, log: RunLog) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"])
-        for i in range(len(log)):
-            rec = log.record(i)
-            writer.writerow(
-                [
-                    rec.trial, rec.x, rec.y, rec.a, rec.b,
-                    "" if rec.c is None else rec.c,
-                    "" if rec.d is None else rec.d,
-                    rec.lam,
-                ]
-            )
+        writer.writerow(CSV_HEADER)
+        for lo in range(0, len(log), CSV_BLOCK):
+            hi = min(lo + CSV_BLOCK, len(log))
+            trials = range(log.first_trial + lo, log.first_trial + hi)
+            outcomes = [getattr(log, n)[lo:hi].tolist() for n in "xyab"]
+            friends = [_FRIEND_CELL[getattr(log, n)[lo:hi]].tolist() for n in "cd"]
+            tags = _lambda_tags(log.lam, lo, hi)
+            writer.writerows(zip(trials, *outcomes, *friends, tags))
 
 
-def run_campaign(
-    config: CampaignConfig,
-    parallel: bool = False,
-    chunk_size: int = 100_000,
-) -> CampaignResult:
+def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute every trial, analyse the log, and write any requested files."""
-    runner = run_trials_parallel if parallel else run_trials
-    kwargs = {"chunk_size": chunk_size} if parallel else {}
-    log = runner(
-        config.scenario,
-        config.model,
-        config.seed,
-        sampler=SettingsSampler(seed=config.seed),
-        options=config.model_options,
-        **kwargs,
+    log = run_trials(
+        config.scenario, config.model, config.seed, options=config.model_options
     )
     ineq = inequality.evaluate(log, k=config.k)
     assum = assumptions_mod.check_all(log, k=config.k) if config.check_assumptions else None
@@ -244,27 +250,28 @@ _ANGLE_RE = re.compile(r"^(?P<sign>-)?(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<div>\d+)
 
 
 def parse_angle(token: str) -> float:
-    """Angle token: a float, or pi fractions like 'pi/4', '3pi/4', '-pi/2'."""
+    """Finite angle token: a float, or pi fractions like 'pi/4', '3pi/4',
+    '-pi/2'."""
     token = token.strip()
     match = _ANGLE_RE.match(token)
     if match:
         value = math.pi * float(match.group("coef") or 1.0)
         if match.group("div"):
             value /= float(match.group("div"))
-        return -value if match.group("sign") else value
-    return float(token)
+        value = -value if match.group("sign") else value
+    else:
+        value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"angle {token!r} is not finite")
+    return value
 
 
 def parse_settings_spec(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Parse 'a1,a2:b1,b2' into per-party angle tuples."""
-    try:
-        alice_part, bob_part = spec.split(":")
-        alice = tuple(parse_angle(t) for t in alice_part.split(","))
-        bob = tuple(parse_angle(t) for t in bob_part.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad settings spec {spec!r}: expected 'a1,a2:b1,b2'") from exc
-    if len(alice) < 2 or len(bob) < 2:
-        raise ValueError("each party needs at least two settings")
+    """Parse 'a1,a2:b1,b2' into two angles per party."""
+    parties = [part.split(",") for part in spec.split(":")]
+    if len(parties) != 2 or any(len(tokens) != 2 for tokens in parties):
+        raise ValueError(f"bad settings spec {spec!r}: expected 'a1,a2:b1,b2'")
+    alice, bob = (tuple(parse_angle(t) for t in tokens) for tokens in parties)
     return alice, bob
 
 
@@ -356,27 +363,38 @@ def _single_config(args) -> CampaignConfig:
     )
 
 
+def _compare_configs(args) -> list[CampaignConfig]:
+    try:
+        data = json.loads(args.compare.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read --compare file: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
+        raise ValueError("--compare file must hold a JSON list of campaign objects")
+    configs = [config_from_dict(d) for d in data]
+    if args.out:
+        for config in configs:
+            config.out_dir = args.out / (config.label or config.model)
+    return configs
+
+
 def main(argv=None) -> int:
+    """Exit 0 on success, 2 on a bad input (one-line message), 3 when an
+    output file cannot be written."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.compare:
-            with args.compare.open() as handle:
-                configs = [config_from_dict(d) for d in json.load(handle)]
-            if args.out:
-                for config in configs:
-                    config.out_dir = args.out / (config.label or config.model)
-            rows = compare_models(configs)
-            print(format_comparison(rows))
+            print(format_comparison(compare_models(_compare_configs(args))))
             return EXIT_OK
         config = _single_config(args)
-    except (ValueError, KeyError) as exc:
-        parser.error(str(exc))  # exits 2
-    try:
         result = run_campaign(config)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    except KeyError as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: missing config key {exc}\n")
+    except (ValueError, TypeError) as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     ineq = result.inequality
     print(
         f"model={config.model} scenario={config.scenario.kind} "

@@ -15,13 +15,13 @@ canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import qcore
-from .models import RunLog, RunRecord, UNDEFINED, ewfs_outcome_tables, lhv_strategies
+from .models import RunLog, UNDEFINED, ewfs_outcome_tables, lhv_strategies
 from .scenario import BRUKNER_EWFS, ScenarioSpec
 
 CHSH_BOUND = 2.0
@@ -90,42 +90,14 @@ class ExpectationMatrix:
     n: np.ndarray  # (2, 2) ints
 
 
-def _gather(source) -> tuple[np.ndarray, ...]:
-    """(x, y, a, b, c, d) arrays from a log, list of logs, or record list."""
-    if isinstance(source, RunLog):
-        logs = [source]
-    else:
-        items = list(source)
-        if not items:
-            empty = np.empty(0, dtype=np.int64)
-            return tuple(empty.copy() for _ in range(6))
-        if all(isinstance(item, RunRecord) for item in items):
-            x = np.array([r.x for r in items], dtype=np.int64)
-            y = np.array([r.y for r in items], dtype=np.int64)
-            a = np.array([r.a for r in items], dtype=np.int64)
-            b = np.array([r.b for r in items], dtype=np.int64)
-            c = np.array(
-                [UNDEFINED if r.c is None else r.c for r in items], dtype=np.int64
-            )
-            d = np.array(
-                [UNDEFINED if r.d is None else r.d for r in items], dtype=np.int64
-            )
-            return x, y, a, b, c, d
-        if not all(isinstance(item, RunLog) for item in items):
-            raise TypeError("expected a RunLog, a list of RunLogs, or RunRecords")
-        logs = items
-    kinds = {log.kind for log in logs}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed scenario kinds in one log: {sorted(kinds)}")
-    cat = lambda name: np.concatenate(
-        [np.asarray(getattr(log, name), dtype=np.int64) for log in logs]
-    )
-    return cat("x"), cat("y"), cat("a"), cat("b"), cat("c"), cat("d")
+def _gather(log: RunLog) -> tuple[np.ndarray, ...]:
+    """(x, y, a, b, c, d) of a log as int64 arrays."""
+    return tuple(np.asarray(getattr(log, n), dtype=np.int64) for n in "xyabcd")
 
 
-def tabulate(source) -> BehaviorTable:
+def tabulate(log: RunLog) -> BehaviorTable:
     """Exact outcome counting of a run log into N(a, b | x, y)."""
-    x, y, a, b, _, _ = _gather(source)
+    x, y, a, b, _, _ = _gather(log)
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     if x.size:
         if x.min() < 1 or x.max() > 2 or y.min() < 1 or y.max() > 2:
@@ -192,17 +164,10 @@ def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
 
 def deterministic_strategy_tables() -> np.ndarray:
     """Behaviors of the 16 deterministic strategies, shape (16, 2, 2, 2, 2)."""
-    strat = lhv_strategies()
+    idx = _outcome_index(lhv_strategies())  # columns A1, A2, B1, B2
+    s, x, y = np.ix_(range(16), range(2), range(2))
     tables = np.zeros((16, 2, 2, 2, 2))
-    for i in range(16):
-        a1, a2, b1, b2 = strat[i]
-        a_out = [a1, a2]
-        b_out = [b1, b2]
-        for x in range(2):
-            for y in range(2):
-                ia = 0 if a_out[x] == 1 else 1
-                ib = 0 if b_out[y] == 1 else 1
-                tables[i, x, y, ia, ib] = 1.0
+    tables[s, x, y, idx[s, x], idx[s, 2 + y]] = 1.0
     return tables
 
 
@@ -287,7 +252,7 @@ def local_polytope_feasible(
 
 def analytic_expectations(state: qcore.StateVector, spec: ScenarioSpec) -> np.ndarray:
     """Exact correlators E(x, y) from Born probabilities, no sampling."""
-    e = np.empty((spec.n_alice, spec.n_bob))
+    e = np.empty((2, 2))
     if spec.kind == BRUKNER_EWFS:
         tables = ewfs_outcome_tables(spec, state)
         sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -389,7 +354,7 @@ def _correlator(first, second, mask) -> tuple[float, float, int]:
     return mean, se, n
 
 
-def verify_derivation_chain(source, k: float = 3.0) -> DerivationChainReport:
+def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainReport:
     """Audit the expectation-value identification chain that turns the
     four-observer inequality into the superobserver CHSH inequality.
 
@@ -399,11 +364,10 @@ def verify_derivation_chain(source, k: float = 3.0) -> DerivationChainReport:
       <CB|22> = <CB|12> = <AB|12>
       <AD|22> = <AD|21> = <AB|21>
     """
-    x, y, a, b, c, d = _gather(source)
-    required = {(1, 1), (1, 2), (2, 1), (2, 2)}
-    present = {(int(xi), int(yi)) for xi, yi in zip(x, y)}
-    if not required <= present:
-        raise EmptyCell(f"missing setting coverage: {sorted(required - present)}")
+    empty = tabulate(log).empty_pairs()
+    if empty:
+        raise EmptyCell(f"missing setting coverage: {empty}")
+    x, y, a, b, c, d = _gather(log)
     if (c == UNDEFINED).any() or (d == UNDEFINED).any():
         raise ValueError("derivation chain needs defined friend outcomes everywhere")
 
@@ -463,14 +427,14 @@ class InequalityReport:
         }
 
 
-def evaluate(source, k: float = 3.0, check_polytope: bool = True) -> InequalityReport:
+def evaluate(log: RunLog, k: float = 3.0, check_polytope: bool = True) -> InequalityReport:
     """Tabulate a log and evaluate CHSH statistics plus polytope membership.
 
     The membership tolerance widens with the sampling noise of the table
     (k binomial standard errors on the least-populated cell) so finite logs
     of local models are not flagged infeasible by fluctuation alone.
     """
-    table = tabulate(source)
+    table = tabulate(log)
     e = expectations(table)
     s, se = chsh_value(e)
     s_max, variant = chsh_max_variant(e)

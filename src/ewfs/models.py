@@ -1,4 +1,4 @@
-"""Pluggable physical models producing one run record per trial.
+"""Pluggable physical models producing one row of a run log per trial.
 
 Four models realize the comparison matrix between frameworks:
 
@@ -19,8 +19,8 @@ Four models realize the comparison matrix between frameworks:
   (A1, A2, B1, B2) drawn per trial from a configurable distribution.
 
 Every trial's randomness comes from a fixed window of the keyed stream
-(seed, "model:<name>", trial), so records are pure functions of
-(seed, trial index) regardless of batching or parallelism.
+(seed, "model:<name>", trial), so each row is a pure function of
+(seed, trial index) however the trial range is split into blocks.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ import numpy as np
 from . import qcore
 from .scenario import (
     BRUKNER_EWFS,
-    STANDARD_BELL,
     ScenarioSpec,
-    SettingsSampler,
     sample_settings_block,
 )
 from .streams import uniform_block
@@ -65,19 +63,13 @@ __all__ = [
     "MODEL_LHV",
     "UNDEFINED",
     "UnsupportedScenario",
-    "RunRecord",
     "RunLog",
     "ToyOptions",
     "TOY_OPTIMAL_CHSH",
     "LhvOptions",
     "lhv_strategies",
     "lhv_exact_expectations",
-    "run_trial_unitary_qm",
-    "run_trial_collapse",
-    "run_trial_toy",
-    "run_trial_lhv",
     "run_trials",
-    "run_trials_parallel",
     "singlet_joint_probs",
     "ewfs_outcome_tables",
 ]
@@ -87,27 +79,13 @@ class UnsupportedScenario(ValueError):
     """The model cannot run under the requested scenario kind."""
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One experimental trial.  C/D are None when the model assigns no
-    observer-independent friend outcome on that branch."""
-
-    trial: int
-    x: int
-    y: int
-    a: int
-    b: int
-    c: int | None
-    d: int | None
-    lam: str = ""
-
-
 @dataclass
 class RunLog:
-    """Array-backed list of run records for one (scenario, model) campaign.
+    """Per-trial arrays of one (scenario, model) campaign block.
 
-    ``c``/``d`` use 0 for undefined; ``lam`` holds model-specific payload
-    columns (hidden angles, strategy ids) aligned with trials.
+    Row i is trial ``first_trial + i``.  ``c``/``d`` use 0 for undefined;
+    ``lam`` holds model-specific payload columns (hidden angles, strategy
+    ids) aligned with trials.
     """
 
     kind: str
@@ -123,54 +101,6 @@ class RunLog:
 
     def __len__(self) -> int:
         return self.x.size
-
-    @property
-    def trials(self) -> np.ndarray:
-        return np.arange(self.first_trial, self.first_trial + len(self))
-
-    def lambda_tag(self, i: int) -> str:
-        parts = []
-        for key in sorted(self.lam):
-            v = self.lam[key][i]
-            if isinstance(v, (np.floating, float)):
-                parts.append(f"{key}={float(v):.17g}")
-            else:
-                parts.append(f"{key}={int(v)}")
-        return ";".join(parts)
-
-    def record(self, i: int) -> RunRecord:
-        c = int(self.c[i])
-        d = int(self.d[i])
-        return RunRecord(
-            trial=int(self.first_trial + i),
-            x=int(self.x[i]),
-            y=int(self.y[i]),
-            a=int(self.a[i]),
-            b=int(self.b[i]),
-            c=None if c == UNDEFINED else c,
-            d=None if d == UNDEFINED else d,
-            lam=self.lambda_tag(i),
-        )
-
-    def records(self):
-        return [self.record(i) for i in range(len(self))]
-
-    @classmethod
-    def concat(cls, parts: list["RunLog"]) -> "RunLog":
-        parts = sorted(parts, key=lambda p: p.first_trial)
-        head = parts[0]
-        expected = head.first_trial
-        for p in parts:
-            if p.first_trial != expected or p.kind != head.kind or p.model != head.model:
-                raise ValueError("cannot concatenate non-contiguous or mixed logs")
-            expected += len(p)
-        cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-        lam = {k: np.concatenate([p.lam[k] for p in parts]) for k in head.lam}
-        return cls(
-            head.kind, head.model,
-            cat("x"), cat("y"), cat("a"), cat("b"), cat("c"), cat("d"),
-            lam, head.first_trial,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +122,35 @@ class ToyOptions:
     theta_after_plus: float = 0.0
     theta_after_minus: float = math.pi / 2
 
+    def __post_init__(self):
+        object.__setattr__(self, "alice_angles", tuple(self.alice_angles))
+        object.__setattr__(self, "bob_angles", tuple(self.bob_angles))
+        if len(self.alice_angles) != 2 or len(self.bob_angles) != 2:
+            raise ValueError("toy-theta needs exactly two angles per party")
+        angles = self.alice_angles + self.bob_angles
+        angles += (self.theta_after_plus, self.theta_after_minus)
+        if not all(map(math.isfinite, angles)):
+            raise ValueError("toy-theta angles must be finite")
+
 
 # Angle assignment under which the toy model's EWFS correlations reach the
 # maximal quantum CHSH value 2*sqrt(2).
 TOY_OPTIMAL_CHSH = ToyOptions(bob_angles=(math.pi / 4, 3 * math.pi / 4))
 
 
-def _uniform_weights() -> tuple[float, ...]:
-    return (1.0 / 16,) * 16
-
-
 @dataclass(frozen=True)
 class LhvOptions:
     """Distribution over the 16 deterministic strategy tables."""
 
-    weights: tuple[float, ...] = field(default_factory=_uniform_weights)
+    weights: tuple[float, ...] = (1.0 / 16,) * 16
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
         object.__setattr__(self, "weights", w)
         if len(w) != 16:
             raise ValueError("need exactly 16 strategy weights")
+        if not all(map(math.isfinite, w)):
+            raise ValueError("strategy weights must be finite")
         if min(w) < 0:
             raise ValueError("strategy weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-9:
@@ -377,8 +315,8 @@ def _batch_toy(spec, xs, ys, u, options=None) -> RunLog:
         # at the configured angles, independently of C and D.
         a = np.empty(n, dtype=np.int8)
         b = np.empty(n, dtype=np.int8)
-        for x in range(1, spec.n_alice + 1):
-            for y in range(1, spec.n_bob + 1):
+        for x in (1, 2):
+            for y in (1, 2):
                 mask = (xs == x) & (ys == y)
                 if not mask.any():
                     continue
@@ -394,8 +332,6 @@ def _batch_toy(spec, xs, ys, u, options=None) -> RunLog:
 
 
 def _batch_lhv(spec, xs, ys, u, options=None) -> RunLog:
-    if spec.n_alice != 2 or spec.n_bob != 2:
-        raise UnsupportedScenario("lhv strategy tables cover two settings per side")
     opts = options or LhvOptions()
     strat = lhv_strategies()
     idx = _sample_discrete(np.cumsum(np.asarray(opts.weights)), u[:, 0])
@@ -422,35 +358,6 @@ _BATCH = {
 
 
 # ---------------------------------------------------------------------------
-# public per-trial operations
-
-
-def _single(model: str, spec, x, y, rng, trial_index, options=None) -> RunRecord:
-    u = rng.random((1, DRAWS_PER_TRIAL[model]))
-    xs = np.array([x], dtype=np.int8)
-    ys = np.array([y], dtype=np.int8)
-    log = _BATCH[model](spec, xs, ys, u, options)
-    log.first_trial = trial_index
-    return log.record(0)
-
-
-def run_trial_unitary_qm(spec, x, y, rng, trial_index=0) -> RunRecord:
-    return _single(MODEL_UNITARY_QM, spec, x, y, rng, trial_index)
-
-
-def run_trial_collapse(spec, x, y, rng, trial_index=0) -> RunRecord:
-    return _single(MODEL_COLLAPSE, spec, x, y, rng, trial_index)
-
-
-def run_trial_toy(spec, x, y, rng, trial_index=0, options=None) -> RunRecord:
-    return _single(MODEL_TOY, spec, x, y, rng, trial_index, options)
-
-
-def run_trial_lhv(spec, x, y, rng, trial_index=0, options=None) -> RunRecord:
-    return _single(MODEL_LHV, spec, x, y, rng, trial_index, options)
-
-
-# ---------------------------------------------------------------------------
 # campaign execution
 
 
@@ -462,44 +369,19 @@ def run_trials(
     spec: ScenarioSpec,
     model: str,
     seed: int,
-    sampler: SettingsSampler | None = None,
     options=None,
     first_trial: int = 0,
     n_trials: int | None = None,
 ) -> RunLog:
-    """Run a contiguous block of trials; record i depends only on (seed, i)."""
+    """Run a contiguous block of trials; row i depends only on (seed, i)."""
     if model not in _BATCH:
         raise ValueError(f"unknown model {model!r}")
     if n_trials is None:
         n_trials = spec.trials - first_trial
-    sampler = sampler or SettingsSampler(seed=seed)
-    xs, ys = sample_settings_block(spec, sampler, n_trials, first_trial)
+    xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
     u = uniform_block(
         seed, model_stream(model), n_trials, DRAWS_PER_TRIAL[model], first_trial
     )
     log = _BATCH[model](spec, xs.astype(np.int8), ys.astype(np.int8), u, options)
     log.first_trial = first_trial
     return log
-
-
-def run_trials_parallel(
-    spec: ScenarioSpec,
-    model: str,
-    seed: int,
-    sampler: SettingsSampler | None = None,
-    options=None,
-    chunk_size: int = 100_000,
-    max_workers: int = 4,
-) -> RunLog:
-    """Chunked (optionally threaded) execution; output is identical to the
-    sequential run because every chunk re-derives its own stream windows."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    starts = list(range(0, spec.trials, chunk_size))
-    run = lambda start: run_trials(
-        spec, model, seed, sampler, options,
-        first_trial=start, n_trials=min(chunk_size, spec.trials - start),
-    )
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        parts = list(pool.map(run, starts))
-    return RunLog.concat(parts)

@@ -1,10 +1,8 @@
 """Exact finite-dimensional quantum state engine.
 
 Pure state vectors over small composite Hilbert spaces (dimension <= 16),
-with tensor products, unitaries, projective measurement and Born
-probabilities.  Everything is immutable after construction; the only
-stochastic operation, :func:`project_and_collapse`, takes a caller-supplied
-generator.
+with tensor products, unitaries, projectors and Born probabilities.
+Everything is immutable after construction and deterministic.
 
 Conventions: each qubit uses basis index 0 for ``+z`` / memory ``m+`` and
 index 1 for ``-z`` / memory ``m-``.  A laboratory is the pair
@@ -34,7 +32,6 @@ __all__ = [
     "brukner_state",
     "singlet",
     "born_probabilities",
-    "project_and_collapse",
     "spin_projectors",
     "lab_measurement_basis",
     "friend_unitary",
@@ -173,19 +170,6 @@ def born_probabilities(s: StateVector, projectors: list[Projector]) -> np.ndarra
     psi = s.amplitudes
     probs = np.array([np.real(np.vdot(psi, p.matrix @ psi)) for p in projectors])
     return np.clip(probs, 0.0, None)
-
-
-def project_and_collapse(
-    s: StateVector, projectors: list[Projector], rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample an outcome with Born probability and renormalize its branch."""
-    probs = born_probabilities(s, projectors)
-    if probs.max() < DEGENERACY_TOL:
-        raise DegenerateProbabilities("all branch probabilities below tolerance")
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, len(projectors) - 1)
-    branch = projectors[outcome].matrix @ s.amplitudes
-    return outcome, StateVector(branch, s.dims).normalize()
 
 
 def spin_projectors(angle: float) -> list[Projector]:

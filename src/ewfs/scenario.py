@@ -36,22 +36,19 @@ __all__ = [
     "BRUKNER_EWFS",
     "SETTINGS_STREAM",
     "ScenarioSpec",
-    "SettingsSampler",
     "default_scenario",
-    "sample_settings",
     "sample_settings_block",
 ]
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Which experiment to run and each party's measurement menu."""
+    """Which experiment to run and each party's two measurement settings."""
 
     kind: str
     alice_settings: tuple
     bob_settings: tuple
     trials: int
-    friend_axis: str = "z"
 
     def __post_init__(self):
         object.__setattr__(self, "alice_settings", tuple(self.alice_settings))
@@ -60,27 +57,18 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.friend_axis != "z":
-            raise ValueError("only a z-axis friend measurement is supported")
         for name, settings in (("alice", self.alice_settings), ("bob", self.bob_settings)):
-            if len(settings) < 2:
-                raise ValueError(f"{name} needs at least two settings")
+            if len(settings) != 2:
+                raise ValueError(f"{name} needs exactly two settings")
             if self.kind == BRUKNER_EWFS:
                 if any(s not in ("Z", "X") for s in settings):
                     raise ValueError("ewfs settings must be 'Z' or 'X'")
                 if settings[0] != "Z":
                     raise ValueError("ewfs setting 1 must be the Z measurement")
-            else:
-                if not all(isinstance(s, (int, float)) for s in settings):
-                    raise ValueError("bell settings must be angles in radians")
-
-    @property
-    def n_alice(self) -> int:
-        return len(self.alice_settings)
-
-    @property
-    def n_bob(self) -> int:
-        return len(self.bob_settings)
+            elif not all(
+                isinstance(s, (int, float)) and math.isfinite(s) for s in settings
+            ):
+                raise ValueError("bell settings must be finite angles in radians")
 
 
 def default_scenario(kind: str, trials: int) -> ScenarioSpec:
@@ -89,52 +77,15 @@ def default_scenario(kind: str, trials: int) -> ScenarioSpec:
     return ScenarioSpec(kind, DEFAULT_BELL_ALICE, DEFAULT_BELL_BOB, trials)
 
 
-@dataclass(frozen=True)
-class SettingsSampler:
-    """How per-trial settings are chosen.
-
-    ``uniform`` draws each (X, Y) pair i.i.d. with equal probability from the
-    keyed settings stream; ``fixed`` cycles through an explicit sequence.
-    """
-
-    mode: str = "uniform"
-    seed: int = 0
-    sequence: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.mode not in ("uniform", "fixed"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
-        if self.mode == "fixed" and not self.sequence:
-            raise ValueError("fixed mode needs a non-empty sequence")
-        object.__setattr__(
-            self, "sequence", tuple((int(x), int(y)) for x, y in self.sequence)
-        )
-
-
 def sample_settings_block(
     spec: ScenarioSpec,
-    sampler: SettingsSampler,
+    seed: int,
     n_trials: int,
     first_trial: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Settings for trials [first_trial, first_trial + n_trials), 1-based."""
+    """Uniform i.i.d. settings for trials [first_trial, first_trial + n_trials), 1-based."""
     if first_trial < 0 or first_trial + n_trials > spec.trials:
         raise IndexError("trial range outside spec.trials")
-    if sampler.mode == "fixed":
-        idx = (np.arange(first_trial, first_trial + n_trials)) % len(sampler.sequence)
-        seq = np.asarray(sampler.sequence)
-        return seq[idx, 0].copy(), seq[idx, 1].copy()
-    u = uniform_block(sampler.seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
-    pair = np.minimum(
-        (u * (spec.n_alice * spec.n_bob)).astype(np.int64),
-        spec.n_alice * spec.n_bob - 1,
-    )
-    return pair // spec.n_bob + 1, pair % spec.n_bob + 1
-
-
-def sample_settings(
-    spec: ScenarioSpec, sampler: SettingsSampler, trial_index: int
-) -> tuple[int, int]:
-    """The (X, Y) pair of a single trial; pure in (seed, trial_index)."""
-    xs, ys = sample_settings_block(spec, sampler, 1, trial_index)
-    return int(xs[0]), int(ys[0])
+    u = uniform_block(seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
+    pair = np.minimum((u * 4).astype(np.int64), 3)
+    return pair // 2 + 1, pair % 2 + 1

@@ -4,7 +4,7 @@ Every source of randomness in a campaign is a named stream derived from
 (master seed, label).  Trial ``i`` owns a fixed-width window of doubles
 ``[i * draws_per_trial, (i + 1) * draws_per_trial)`` inside its stream, so a
 trial's randomness is a pure function of (seed, label, trial index) and is
-identical no matter how trials are batched, chunked or parallelised.
+identical however the trial range is split into blocks.
 
 Only ``Generator.random`` may be used on these streams: the window offsets
 rely on PCG64 consuming exactly one state step per double.

@@ -232,21 +232,37 @@ def test_criterion_6_aoe_consistency():
 
 
 def test_criterion_7_reproducibility(tmp_path):
-    with criterion(7, "byte-identical outputs across reruns and parallel execution"):
-        def campaign(out: Path, parallel: bool):
-            config = CampaignConfig(
-                scenario=default_scenario(BRUKNER_EWFS, 20_000),
-                model=MODEL_TOY,
-                seed=7,
-                model_options=TOY_OPTIMAL_CHSH,
-                out_dir=out,
-            )
-            run_campaign(config, parallel=parallel, chunk_size=3_000)
+    with criterion(7, "byte-identical outputs across reruns and trial-block splits"):
+        config = CampaignConfig(
+            scenario=default_scenario(BRUKNER_EWFS, 20_000),
+            model=MODEL_TOY,
+            seed=7,
+            model_options=TOY_OPTIMAL_CHSH,
+        )
+
+        def campaign(out: Path):
+            config.out_dir = out
+            run_campaign(config)
             return (out / "runs.csv").read_bytes(), (out / "report.json").read_bytes()
 
-        csv_1, json_1 = campaign(tmp_path / "run1", parallel=False)
-        csv_2, json_2 = campaign(tmp_path / "run2", parallel=False)
-        csv_3, json_3 = campaign(tmp_path / "run3", parallel=True)
-        assert csv_1 == csv_2 == csv_3
-        assert json_1 == json_2 == json_3
+        csv_1, json_1 = campaign(tmp_path / "run1")
+        csv_2, json_2 = campaign(tmp_path / "run2")
+        assert csv_1 == csv_2
+        assert json_1 == json_2
         assert len(csv_1) > 0 and len(json_1) > 0
+
+        spec, n = config.scenario, config.scenario.trials
+        args = (spec, config.model, config.seed)
+        whole = run_trials(*args, options=config.model_options)
+        blocks = [
+            run_trials(*args, options=config.model_options,
+                       first_trial=lo, n_trials=min(3_000, n - lo))
+            for lo in range(0, n, 3_000)
+        ]
+        for name in ("x", "y", "a", "b", "c", "d"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            np.testing.assert_array_equal(joined, getattr(whole, name))
+        assert sorted(whole.lam) == sorted(blocks[0].lam)
+        for key in whole.lam:
+            joined = np.concatenate([b.lam[key] for b in blocks])
+            np.testing.assert_array_equal(joined, whole.lam[key])

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from ewfs import harness
 from ewfs.harness import (
     EXIT_OK,
     EXIT_OUTPUT,
+    EXIT_USAGE,
     CampaignConfig,
     compare_models,
     config_from_dict,
@@ -19,6 +24,8 @@ from ewfs.harness import (
 )
 from ewfs.models import MODEL_COLLAPSE, MODEL_LHV, MODEL_TOY, LhvOptions, ToyOptions
 from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
+
+NON_FINITE = ("nan", "inf", "-inf")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -40,6 +47,12 @@ def test_parse_angle(token, expected):
     assert parse_angle(token) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("token", NON_FINITE + ("1e400", "NaN"))
+def test_parse_angle_rejects_non_finite(token):
+    with pytest.raises(ValueError):
+        parse_angle(token)
+
+
 def test_parse_settings_spec():
     alice, bob = parse_settings_spec("0,pi/2:pi/4,3pi/4")
     assert alice == pytest.approx((0.0, math.pi / 2))
@@ -48,6 +61,8 @@ def test_parse_settings_spec():
         parse_settings_spec("0,1")
     with pytest.raises(ValueError):
         parse_settings_spec("0:1,2")
+    with pytest.raises(ValueError):
+        parse_settings_spec("0,1,2:0,1")
 
 
 def test_config_from_dict_builds_options():
@@ -103,23 +118,43 @@ def test_run_campaign_writes_report_and_csv(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
     assert len(rows) == 2_001
-    first = result.log.record(0)
-    assert rows[1][:5] == [str(v) for v in
-                           (first.trial, first.x, first.y, first.a, first.b)]
+    log = result.log
+    assert rows[1][:5] == [str(v) for v in (0, log.x[0], log.y[0], log.a[0], log.b[0])]
 
 
-def test_csv_leaves_undefined_outcomes_blank(tmp_path):
+def _csv_rows(tmp_path, model, trials):
     config = CampaignConfig(
-        scenario=default_scenario(BRUKNER_EWFS, 300),
-        model="unitary-qm",
+        scenario=default_scenario(BRUKNER_EWFS, trials),
+        model=model,
         out_dir=tmp_path,
         check_assumptions=False,
     )
     result = run_campaign(config)
     with (tmp_path / "runs.csv").open() as handle:
-        rows = list(csv.reader(handle))[1:]
-    for row, x in zip(rows, result.log.x):
-        assert (row[5] == "") == (x == 2)
+        return result.log, list(csv.reader(handle))[1:]
+
+
+def test_csv_leaves_undefined_outcomes_blank(tmp_path):
+    log, rows = _csv_rows(tmp_path, "unitary-qm", 300)
+    for i, row in enumerate(rows):
+        assert row[0] == str(i)
+        assert (row[5] == "") == (log.x[i] == 2)
+        assert (row[6] == "") == (log.y[i] == 2)
+        assert row[7] == ""
+
+
+def test_csv_integer_lambda_tag(tmp_path):
+    log, rows = _csv_rows(tmp_path, MODEL_LHV, 200)
+    assert [row[7] for row in rows] == [f"strategy={v}" for v in log.lam["strategy"]]
+
+
+@pytest.mark.parametrize("model", ["unitary-qm", MODEL_LHV, MODEL_TOY])
+def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, model):
+    _csv_rows(tmp_path / "one", model, 1_000)
+    monkeypatch.setattr(harness, "CSV_BLOCK", 7)
+    _csv_rows(tmp_path / "many", model, 1_000)
+    one, many = ((tmp_path / d / "runs.csv").read_bytes() for d in ("one", "many"))
+    assert one == many
 
 
 def test_format_selection(tmp_path):
@@ -179,17 +214,46 @@ def test_cli_settings_flag_for_bell(tmp_path, capsys):
     assert "scenario=bell" in capsys.readouterr().out
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run the CLI expecting exit 2; return its one-line stderr message."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
 def test_cli_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--scenario", "ewfs"])  # missing --model
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["--scenario", "ewfs", "--model", "nope"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        # --settings is meaningless for a non-toy EWFS model
-        main(["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"])
-    assert exc.value.code == 2
+    _usage_error(["--scenario", "ewfs"], capsys)  # missing --model
+    _usage_error(["--scenario", "ewfs", "--model", "nope"], capsys)
+    # --settings is meaningless for a non-toy EWFS model
+    _usage_error(
+        ["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"], capsys
+    )
+
+
+def test_cli_unsupported_pair_exits_2(capsys):
+    err = _usage_error(["--scenario", "bell", "--model", "unitary-qm"], capsys)
+    assert err.count("\n") == 1 and "unitary-qm" in err
+
+
+@pytest.mark.parametrize(
+    "scenario,model", [("bell", MODEL_COLLAPSE), ("bell", MODEL_TOY), ("ewfs", MODEL_TOY)]
+)
+def test_cli_three_settings_exit_2(scenario, model, capsys):
+    argv = ["--scenario", scenario, "--model", model, "--settings", "0,1,2:0,1"]
+    assert _usage_error(argv, capsys).count("\n") == 1
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_cli_non_finite_angles_exit_2(token, capsys):
+    for scenario, model in (("bell", MODEL_COLLAPSE), ("ewfs", MODEL_TOY)):
+        argv = [
+            "--scenario", scenario, "--model", model, "--trials", "2000",
+            f"--settings={token},0:0,1",
+        ]
+        assert "not finite" in _usage_error(argv, capsys)
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):
@@ -205,6 +269,45 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_cli_compare_bad_file_exits_2(tmp_path, capsys):
+    _usage_error(["--compare", str(tmp_path / "missing.json")], capsys)
+    for text in ("[{", '{"scenario": "ewfs"}', "[1, 2]", '[{"model": "lhv"}]'):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert _usage_error(["--compare", str(path)], capsys).count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cli_compare_non_finite_inputs_exit_2(tmp_path, capsys, bad):
+    # Python's json module reads and writes NaN and +/-Infinity literals.
+    good = {"scenario": "ewfs", "model": "lhv"}
+    path = tmp_path / "campaigns.json"
+    for campaign in (
+        {"scenario": "bell", "model": "collapse", "alice_settings": [bad, 0.0],
+         "bob_settings": [0.0, 1.0]},
+        {"scenario": "ewfs", "model": "toy-theta",
+         "model_options": {"bob_angles": [bad, 1.0]}},
+        {"scenario": "ewfs", "model": "lhv",
+         "model_options": {"weights": [bad] + [1 / 15] * 15}},
+    ):
+        path.write_text(json.dumps([good, campaign]))
+        assert "finite" in _usage_error(["--compare", str(path)], capsys)
+
+
+def test_cli_compare_unwritable_output_exits_3(tmp_path, capsys):
+    campaigns = [
+        {"scenario": "ewfs", "model": "lhv", "trials": 500},
+        {"scenario": "ewfs", "model": "collapse", "trials": 500},
+    ]
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(campaigns))
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    code = main(["--compare", str(path), "--out", str(blocker / "sub")])
+    assert code == EXIT_OUTPUT
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_cli_compare(tmp_path, capsys):
     campaigns = [
         {"scenario": "ewfs", "model": "lhv", "trials": 2000, "label": "local"},
@@ -216,3 +319,29 @@ def test_cli_compare(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "local" in out and "collapse" in out and "S_max" in out
+
+
+# --- import graph ----------------------------------------------------------
+
+
+def _python(*args):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_harness_import_leaves_scipy_stats_out():
+    done = _python(
+        "-c", "import sys, ewfs.harness; print('scipy.stats' in sys.modules)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    done = _python("-W", "error::RuntimeWarning", "-m", "ewfs.harness", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "usage: ewfs" in done.stdout

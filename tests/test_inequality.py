@@ -33,12 +33,7 @@ from ewfs.models import (
     run_trials,
 )
 from ewfs.qcore import brukner_state, singlet
-from ewfs.scenario import (
-    BRUKNER_EWFS,
-    STANDARD_BELL,
-    SettingsSampler,
-    default_scenario,
-)
+from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 
 weight_vectors = st.lists(
     st.floats(0.0, 1.0, allow_nan=False), min_size=16, max_size=16
@@ -89,23 +84,15 @@ def test_tabulate_counts_exactly():
     assert table.empty_pairs() == []
 
 
-def test_tabulate_accepts_record_lists_and_empty_input():
-    spec = default_scenario(BRUKNER_EWFS, 50)
-    log = run_trials(spec, MODEL_LHV, seed=0)
-    from_records = tabulate(log.records())
-    np.testing.assert_array_equal(from_records.counts, tabulate(log).counts)
-    empty = tabulate([])
+def test_tabulate_empty_log():
+    empty = tabulate(synthetic_log(x=[], y=[], a=[], b=[]))
     assert empty.counts.sum() == 0
     assert len(empty.empty_pairs()) == 4
 
 
-def test_tabulate_rejects_mixed_kinds_and_garbage():
-    a = run_trials(default_scenario(BRUKNER_EWFS, 5), MODEL_LHV, seed=0)
-    b = run_trials(default_scenario(STANDARD_BELL, 5), MODEL_LHV, seed=0)
+def test_tabulate_rejects_settings_outside_two_setting_scenario():
     with pytest.raises(ValueError):
-        tabulate([a, b])
-    with pytest.raises(TypeError):
-        tabulate([1, 2, 3])
+        tabulate(synthetic_log(x=[1, 3], y=[1, 2], a=[1, 1], b=[1, 1]))
 
 
 def test_expectations_match_direct_average():
@@ -262,10 +249,9 @@ def test_chain_holds_for_local_models():
 
 
 def test_chain_requires_coverage_and_friend_outcomes():
-    spec = default_scenario(BRUKNER_EWFS, 500)
-    sampler = SettingsSampler(mode="fixed", sequence=((1, 1),))
-    partial = run_trials(spec, MODEL_LHV, seed=0, sampler=sampler)
-    with pytest.raises(EmptyCell):
+    ones = [1] * 500
+    partial = synthetic_log(x=ones, y=ones, a=ones, b=ones, c=ones, d=ones)
+    with pytest.raises(EmptyCell, match=r"\(1, 2\), \(2, 1\), \(2, 2\)"):
         verify_derivation_chain(partial)
     bell = run_trials(default_scenario(STANDARD_BELL, 500), MODEL_COLLAPSE, seed=0)
     with pytest.raises(ValueError):

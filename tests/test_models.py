@@ -1,11 +1,12 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
-    DRAWS_PER_TRIAL,
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_NAMES,
@@ -13,38 +14,18 @@ from ewfs.models import (
     MODEL_UNITARY_QM,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
-    RunLog,
     ToyOptions,
     UNDEFINED,
     UnsupportedScenario,
     ewfs_outcome_tables,
     lhv_exact_expectations,
     lhv_strategies,
-    model_stream,
-    run_trial_collapse,
-    run_trial_lhv,
-    run_trial_toy,
-    run_trial_unitary_qm,
     run_trials,
-    run_trials_parallel,
     singlet_joint_probs,
 )
-from ewfs.scenario import (
-    BRUKNER_EWFS,
-    STANDARD_BELL,
-    ScenarioSpec,
-    SettingsSampler,
-    default_scenario,
-    sample_settings_block,
-)
-from ewfs.streams import substream
+from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 
-PER_TRIAL = {
-    MODEL_UNITARY_QM: run_trial_unitary_qm,
-    MODEL_COLLAPSE: run_trial_collapse,
-    MODEL_TOY: run_trial_toy,
-    MODEL_LHV: run_trial_lhv,
-}
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -87,6 +68,33 @@ def test_lhv_options_validation():
         LhvOptions(weights=tuple(bad))
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_lhv_weights_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        LhvOptions(weights=(bad,) * 16)
+    with pytest.raises(ValueError):
+        LhvOptions(weights=(bad,) + (1.0 / 15,) * 15)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_toy_angles_must_be_finite(bad):
+    for kwargs in (
+        {"alice_angles": (0.0, bad)},
+        {"bob_angles": (bad, 1.0)},
+        {"theta_after_plus": bad},
+        {"theta_after_minus": bad},
+    ):
+        with pytest.raises(ValueError):
+            ToyOptions(**kwargs)
+
+
+def test_toy_takes_two_angles_per_party():
+    with pytest.raises(ValueError):
+        ToyOptions(alice_angles=(0.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        ToyOptions(bob_angles=(0.0,))
+
+
 # --- probability tables ----------------------------------------------------
 
 
@@ -112,43 +120,47 @@ def test_ewfs_tables_are_distributions():
         assert abs(table.sum() - 1.0) < 1e-12
 
 
-# --- per-trial vs batch ----------------------------------------------------
+# --- block invariance -----------------------------------------------------
+
+
+def _columns(log):
+    """Every per-trial column of a log: x..d, then the lambda payload."""
+    return [getattr(log, n) for n in "xyabcd"] + [log.lam[k] for k in sorted(log.lam)]
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 @pytest.mark.parametrize("kind", (STANDARD_BELL, BRUKNER_EWFS))
 def test_single_trial_reproduces_batch_records(model, kind):
+    """A one-trial block at offset i equals row i of the full log."""
     if model == MODEL_UNITARY_QM and kind == STANDARD_BELL:
         pytest.skip("unsupported combination")
     spec = default_scenario(kind, 40)
-    sampler = SettingsSampler(seed=8)
-    log = run_trials(spec, model, seed=8, sampler=sampler)
-    xs, ys = sample_settings_block(spec, sampler, 40)
-    draws = DRAWS_PER_TRIAL[model]
+    log = run_trials(spec, model, seed=8)
     for i in (0, 1, 17, 39):
-        rng = substream(8, model_stream(model), offset=i * draws)
-        rec = PER_TRIAL[model](spec, int(xs[i]), int(ys[i]), rng, trial_index=i)
-        assert rec == log.record(i)
+        one = run_trials(spec, model, seed=8, first_trial=i, n_trials=1)
+        assert one.first_trial == i and len(one) == 1
+        assert sorted(one.lam) == sorted(log.lam)
+        for single, full in zip(_columns(one), _columns(log)):
+            np.testing.assert_array_equal(single, full[i : i + 1])
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_parallel_equals_sequential(model):
-    kind = BRUKNER_EWFS
-    spec = default_scenario(kind, 10_000)
-    seq = run_trials(spec, model, seed=1)
-    par = run_trials_parallel(spec, model, seed=1, chunk_size=1_700)
-    for name in ("x", "y", "a", "b", "c", "d"):
-        np.testing.assert_array_equal(getattr(seq, name), getattr(par, name))
-    for key in seq.lam:
-        np.testing.assert_array_equal(seq.lam[key], par.lam[key])
+    """Independent 1,700-trial blocks, as a parallel runner would compute
+    them, equal one sequential block."""
+    spec = default_scenario(BRUKNER_EWFS, 10_000)
+    whole = run_trials(spec, model, seed=1)
+    blocks = [
+        run_trials(spec, model, seed=1, first_trial=lo, n_trials=min(1_700, 10_000 - lo))
+        for lo in range(0, 10_000, 1_700)
+    ]
+    for column, parts in zip(_columns(whole), zip(*map(_columns, blocks))):
+        np.testing.assert_array_equal(column, np.concatenate(parts))
 
 
 def test_unsupported_combinations_raise():
     with pytest.raises(UnsupportedScenario):
         run_trials(default_scenario(STANDARD_BELL, 10), MODEL_UNITARY_QM, seed=0)
-    three = ScenarioSpec(STANDARD_BELL, (0.0, 1.0, 2.0), (0.0, 1.0), 10)
-    with pytest.raises(UnsupportedScenario):
-        run_trials(three, MODEL_LHV, seed=0)
     with pytest.raises(ValueError):
         run_trials(default_scenario(STANDARD_BELL, 10), "nonsense", seed=0)
 
@@ -246,31 +258,31 @@ def test_lhv_friends_match_setting_one_strategy_values():
 
 
 def test_record_maps_undefined_to_none():
+    """C is undefined exactly when X=2 and D exactly when Y=2; a block that
+    starts at trial 50 keeps the trial numbering of the whole run."""
     spec = default_scenario(BRUKNER_EWFS, 200)
     log = run_trials(spec, MODEL_UNITARY_QM, seed=0)
-    recs = log.records()
-    for i, rec in enumerate(recs):
-        assert rec.trial == i
-        assert (rec.c is None) == (log.x[i] == 2)
-        assert (rec.d is None) == (log.y[i] == 2)
+    tail = run_trials(spec, MODEL_UNITARY_QM, seed=0, first_trial=50)
+    assert log.first_trial == 0 and tail.first_trial == 50
+    assert len(tail) == 150
+    np.testing.assert_array_equal(log.c == UNDEFINED, log.x == 2)
+    np.testing.assert_array_equal(log.d == UNDEFINED, log.y == 2)
+    assert set(np.unique(log.c[log.x == 1])) <= {-1, 1}
+    assert set(np.unique(log.d[log.y == 1])) <= {-1, 1}
+    np.testing.assert_array_equal(tail.c, log.c[50:])
+    np.testing.assert_array_equal(tail.d, log.d[50:])
 
 
-def test_lambda_tag_is_sorted_and_parseable():
-    spec = default_scenario(BRUKNER_EWFS, 10)
-    log = run_trials(spec, MODEL_TOY, seed=1)
-    tag = log.lambda_tag(0)
-    keys = [part.split("=")[0] for part in tag.split(";")]
-    assert keys == sorted(log.lam)
-    values = {p.split("=")[0]: float(p.split("=")[1]) for p in tag.split(";")}
-    assert values["theta1"] == float(log.lam["theta1"][0])
-
-
-def test_concat_rejects_gaps_and_mixed_logs():
-    spec = default_scenario(BRUKNER_EWFS, 30)
-    a = run_trials(spec, MODEL_LHV, seed=0, n_trials=10)
-    b = run_trials(spec, MODEL_LHV, seed=0, first_trial=20, n_trials=10)
-    with pytest.raises(ValueError):
-        RunLog.concat([a, b])
-    c = run_trials(spec, MODEL_COLLAPSE, seed=0, first_trial=10, n_trials=10)
-    with pytest.raises(ValueError):
-        RunLog.concat([a, c])
+def test_lambda_tag_is_sorted_and_parseable(tmp_path):
+    spec = default_scenario(BRUKNER_EWFS, 200)
+    result = run_campaign(
+        CampaignConfig(spec, MODEL_TOY, seed=1, out_dir=tmp_path, formats=("csv",))
+    )
+    log = result.log
+    with (tmp_path / "runs.csv").open() as handle:
+        rows = list(csv.reader(handle))[1:]
+    for i, row in enumerate(rows):
+        pairs = [part.split("=") for part in row[7].split(";")]
+        assert [key for key, _ in pairs] == sorted(log.lam)
+        for key, text in pairs:
+            assert float(text) == float(log.lam[key][i])  # %.17g round-trips

@@ -20,7 +20,6 @@ from ewfs.qcore import (
     lab_measurement_basis,
     lab_pair_state,
     permute_subsystems,
-    project_and_collapse,
     singlet,
     spin_projectors,
     tensor,
@@ -123,26 +122,6 @@ def _pair(angle):
     pa = spin_projectors(angle)
     pb = spin_projectors(angle + 1.0)
     return [Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
-
-
-def test_collapse_frequencies_match_born_rule():
-    psi = StateVector(np.array([math.cos(0.4), math.sin(0.4)]), (2,))
-    projs = spin_projectors(0.0)
-    rng = np.random.default_rng(11)
-    outcomes = [project_and_collapse(psi, projs, rng)[0] for _ in range(20_000)]
-    freq = np.mean(np.asarray(outcomes) == 0)
-    p = math.cos(0.4) ** 2
-    assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / 20_000)
-
-
-def test_repeated_measurement_is_stable():
-    rng = np.random.default_rng(5)
-    projs = spin_projectors(1.1)
-    psi = StateVector(np.array([0.6, 0.8]), (2,))
-    outcome, collapsed = project_and_collapse(psi, projs, rng)
-    again, twice = project_and_collapse(collapsed, projs, rng)
-    assert again == outcome
-    np.testing.assert_allclose(twice.amplitudes, collapsed.amplitudes, atol=1e-12)
 
 
 # --- multi-subsystem plumbing ----------------------------------------------

@@ -10,9 +10,7 @@ from ewfs.scenario import (
     DEFAULT_BELL_BOB,
     STANDARD_BELL,
     ScenarioSpec,
-    SettingsSampler,
     default_scenario,
-    sample_settings,
     sample_settings_block,
 )
 
@@ -38,54 +36,50 @@ def test_spec_validation():
         ScenarioSpec(STANDARD_BELL, ("a", "b"), (0.0, 1.0), 10)
     with pytest.raises(ValueError):
         ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (0.0, 1.0), 0)
+
+    # exactly two settings per party
     with pytest.raises(ValueError):
-        ScenarioSpec(BRUKNER_EWFS, ("Z", "X"), ("Z", "X"), 10, friend_axis="x")
-
-
-def test_sampler_validation():
+        ScenarioSpec(BRUKNER_EWFS, ("Z", "X", "X"), ("Z", "X"), 10)
     with pytest.raises(ValueError):
-        SettingsSampler(mode="random")
+        ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (0.0, 1.0, 2.0), 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bell_angles_must_be_finite(bad):
     with pytest.raises(ValueError):
-        SettingsSampler(mode="fixed")
-
-
-def test_fixed_sampler_cycles_sequence():
-    spec = default_scenario(STANDARD_BELL, 7)
-    sampler = SettingsSampler(mode="fixed", sequence=((1, 1), (2, 2), (1, 2)))
-    xs, ys = sample_settings_block(spec, sampler, 7)
-    np.testing.assert_array_equal(xs, [1, 2, 1, 1, 2, 1, 1])
-    np.testing.assert_array_equal(ys, [1, 2, 2, 1, 2, 2, 1])
+        ScenarioSpec(STANDARD_BELL, (0.0, bad), (0.0, 1.0), 10)
+    with pytest.raises(ValueError):
+        ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (bad, 1.0), 10)
 
 
 def test_uniform_sampler_range_and_split_invariance():
     spec = default_scenario(BRUKNER_EWFS, 500)
-    sampler = SettingsSampler(seed=42)
-    xs, ys = sample_settings_block(spec, sampler, 500)
+    xs, ys = sample_settings_block(spec, 42, 500)
     assert set(np.unique(xs)) <= {1, 2} and set(np.unique(ys)) <= {1, 2}
-    xs2a, ys2a = sample_settings_block(spec, sampler, 123)
-    xs2b, ys2b = sample_settings_block(spec, sampler, 377, first_trial=123)
+    xs2a, ys2a = sample_settings_block(spec, 42, 123)
+    xs2b, ys2b = sample_settings_block(spec, 42, 377, first_trial=123)
     np.testing.assert_array_equal(xs, np.concatenate([xs2a, xs2b]))
     np.testing.assert_array_equal(ys, np.concatenate([ys2a, ys2b]))
 
 
 def test_single_trial_matches_block():
     spec = default_scenario(BRUKNER_EWFS, 50)
-    sampler = SettingsSampler(seed=3)
-    xs, ys = sample_settings_block(spec, sampler, 50)
-    assert sample_settings(spec, sampler, 31) == (int(xs[31]), int(ys[31]))
+    xs, ys = sample_settings_block(spec, 3, 50)
+    x31, y31 = sample_settings_block(spec, 3, 1, first_trial=31)
+    assert (int(x31[0]), int(y31[0])) == (int(xs[31]), int(ys[31]))
 
 
 def test_block_bounds_checked():
     spec = default_scenario(BRUKNER_EWFS, 10)
     with pytest.raises(IndexError):
-        sample_settings_block(spec, SettingsSampler(seed=0), 11)
+        sample_settings_block(spec, 0, 11)
     with pytest.raises(IndexError):
-        sample_settings_block(spec, SettingsSampler(seed=0), 5, first_trial=6)
+        sample_settings_block(spec, 0, 5, first_trial=6)
 
 
 def test_uniform_settings_are_uniform():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
-    xs, ys = sample_settings_block(spec, SettingsSampler(seed=0), 100_000)
+    xs, ys = sample_settings_block(spec, 0, 100_000)
     pair = 2 * (xs - 1) + (ys - 1)
     counts = np.bincount(pair, minlength=4)
     result = stats.chisquare(counts)
