@@ -1,6 +1,7 @@
 """Empirical verdicts on the formalized assumptions behind the inequalities.
 
-Checks run over array-backed run logs:
+Every check reads the count table N(x, y, a, b, c, d, lambda-bin) that
+``inequality.tabulate`` builds once per campaign:
 
 * AOE   -- absoluteness of observed events: (i) every trial carries defined
   friend outcomes, (ii) A = C whenever X = 1, (iii) B = D whenever Y = 1.
@@ -11,8 +12,8 @@ Checks run over array-backed run logs:
 * L     -- locality / parameter independence: a wing's outcome distribution,
   conditioned on both friend outcomes and its own setting, ignores the
   distant setting.
-* settings independence -- the hidden-state distribution (model-declared
-  binning of the lambda payload) is independent of the settings.
+* settings independence -- the hidden-state distribution (the lambda bins
+  declared in ``models.LAMBDA_BINNERS``) is independent of the settings.
 
 Distribution comparisons use total-variation distance with a threshold of
 k binomial standard errors; conditioning cells under ``min_cell`` trials are
@@ -27,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .models import MODEL_LHV, MODEL_TOY, RunLog, UNDEFINED
+from .inequality import CountTable
 
 MIN_CELL = 100
 
@@ -40,9 +41,6 @@ __all__ = [
     "check_locality",
     "check_settings_independence",
     "check_all",
-    "toy_theta_bins",
-    "lhv_strategy_bins",
-    "LAMBDA_BINNERS",
 ]
 
 
@@ -98,35 +96,32 @@ def _familywise_k(k: float, comparisons: int) -> float:
     return -NormalDist().inv_cdf(per_cell / 2.0)
 
 
-def _friends_defined(log: RunLog) -> bool:
-    return bool((log.c != UNDEFINED).all() and (log.d != UNDEFINED).all())
-
-
-def check_aoe(log: RunLog, min_cell: int = MIN_CELL) -> dict[str, AssumptionCheck]:
+def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, AssumptionCheck]:
     """AOE items i-iii.  Agreement for ii/iii must be exact (frequency 1 with
     zero counterexamples) on the conditioned records."""
     checks = {}
-    defined = (log.c != UNDEFINED) & (log.d != UNDEFINED)
-    frac = float(defined.mean()) if len(log) else 0.0
+    total = table.total()
+    counts = table.counts.sum(axis=6)  # (x, y, a, b, c, d)
+    defined = int(counts[:, :, :, :, :2, :2].sum())
     checks["aoe_i"] = AssumptionCheck(
         "aoe_i",
-        statistic=frac,
+        statistic=defined / total if total else 0.0,
         threshold=1.0,
-        passed=bool(defined.all()) if len(log) else None,
+        passed=defined == total if total else None,
         detail="fraction of trials with both friend outcomes defined",
     )
-    for name, setting, super_out, friend_out in (
-        ("aoe_ii", log.x, log.a, log.c),
-        ("aoe_iii", log.y, log.b, log.d),
+    # (superobserver, defined friend) outcome counts at the Z setting
+    for name, pairs in (
+        ("aoe_ii", counts[0].sum(axis=(0, 2, 4))[:, :2]),  # (a, c) at x = 1
+        ("aoe_iii", counts[:, 0].sum(axis=(0, 1, 3))[:, :2]),  # (b, d) at y = 1
     ):
-        mask = (setting == 1) & (friend_out != UNDEFINED)
-        n = int(mask.sum())
+        n = int(pairs.sum())
         if n == 0:
             checks[name] = AssumptionCheck(
                 name, None, 1.0, None, detail="no conditioned records",
             )
             continue
-        freq = float((super_out[mask] == friend_out[mask]).mean())
+        freq = int(np.trace(pairs)) / n
         checks[name] = AssumptionCheck(
             name,
             statistic=freq,
@@ -139,29 +134,22 @@ def check_aoe(log: RunLog, min_cell: int = MIN_CELL) -> dict[str, AssumptionChec
 
 
 def _tv_by_settings(
-    values: np.ndarray,
-    n_outcomes: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    k: float,
-    min_cell: int,
-    name: str,
-    detail: str,
+    cells: np.ndarray, k: float, min_cell: int, name: str, detail: str
 ) -> AssumptionCheck:
-    """Max TV distance between per-(x, y) and pooled outcome distributions."""
-    pooled = np.bincount(values, minlength=n_outcomes) / values.size
+    """Max TV distance between per-(x, y) and pooled outcome distributions,
+    from outcome counts per setting pair, shape (2, 2, n_outcomes)."""
+    n_xy = cells.sum(axis=2)
+    pooled = cells.sum(axis=(0, 1)) / max(int(n_xy.sum()), 1)
     worst_tv, ok, any_conclusive = 0.0, True, False
     cell_sizes = {}
-    for xv in np.unique(x):
-        for yv in np.unique(y):
-            mask = (x == xv) & (y == yv)
-            n = int(mask.sum())
-            cell_sizes[f"x{xv}y{yv}"] = n
+    for xi in np.flatnonzero(n_xy.sum(axis=1)):
+        for yi in np.flatnonzero(n_xy.sum(axis=0)):
+            n = int(n_xy[xi, yi])
+            cell_sizes[f"x{xi + 1}y{yi + 1}"] = n
             if n < min_cell:
                 continue
             any_conclusive = True
-            local = np.bincount(values[mask], minlength=n_outcomes) / n
-            tv = _tv(local, pooled)
+            tv = _tv(cells[xi, yi] / n, pooled)
             worst_tv = max(worst_tv, tv)
             threshold = k * 0.5 * float(
                 np.sqrt(pooled * (1 - pooled) / n).sum()
@@ -178,53 +166,55 @@ def _tv_by_settings(
     )
 
 
-def check_nsd(log: RunLog, k: float = 3.0, min_cell: int = MIN_CELL) -> AssumptionCheck:
+def _friends_undefined(name: str) -> AssumptionCheck:
+    return AssumptionCheck(
+        name, None, None, None,
+        detail="friend outcomes undefined on some trials; inconclusive",
+    )
+
+
+def check_nsd(
+    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
+) -> AssumptionCheck:
     """P(C, D | X, Y) = P(C, D): friend outcomes ignore the setting choices."""
-    if not _friends_defined(log):
-        return AssumptionCheck(
-            "nsd", None, None, None,
-            detail="friend outcomes undefined on some trials; inconclusive",
-        )
-    cd = (2 * (log.c == -1) + (log.d == -1)).astype(np.int64)
+    if not table.friends_defined():
+        return _friends_undefined("nsd")
+    # outcome 2 * c + d per (x, y)
+    cd = table.counts.sum(axis=(2, 3, 6))[:, :, :2, :2].reshape(2, 2, 4)
     return _tv_by_settings(
-        cd, 4, log.x, log.y, k, min_cell, "nsd",
+        cd, k, min_cell, "nsd",
         "max TV distance of P(C,D | x,y) from pooled P(C,D)",
     )
 
 
 def check_locality(
-    log: RunLog, k: float = 3.0, min_cell: int = MIN_CELL
+    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
     """Parameter independence: P(A | C, D, X) ignores Y, and symmetrically."""
-    if not _friends_defined(log):
-        return AssumptionCheck(
-            "locality", None, None, None,
-            detail="friend outcomes undefined on some trials; inconclusive",
-        )
+    if not table.friends_defined():
+        return _friends_undefined("locality")
+    counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
+    wings = (  # (own setting, distant setting, outcome, c, d)
+        ("A", counts.sum(axis=3)),
+        ("B", counts.sum(axis=2).transpose(1, 0, 2, 3, 4)),
+    )
     cells = []
     cell_sizes = {}
-    wings = (
-        ("A", log.a, log.x, log.y),
-        ("B", log.b, log.y, log.x),
-    )
-    for wing, outcome, own, distant in wings:
-        for cv in (1, -1):
-            for dv in (1, -1):
+    for wing, wing_counts in wings:
+        for ci, cv in enumerate((1, -1)):
+            for di, dv in enumerate((1, -1)):
                 for sv in (1, 2):
-                    base = (log.c == cv) & (log.d == dv) & (own == sv)
-                    m1 = base & (distant == 1)
-                    m2 = base & (distant == 2)
-                    n1, n2 = int(m1.sum()), int(m2.sum())
+                    by_distant = wing_counts[sv - 1, :, :, ci, di]
+                    n1, n2 = (int(n) for n in by_distant.sum(axis=1))
                     cell_sizes[f"{wing}:c{cv}d{dv}s{sv}"] = n1 + n2
                     if min(n1, n2) >= min_cell:
-                        cells.append((outcome, m1, m2, n1, n2))
+                        plus1, plus2 = (int(n) for n in by_distant[:, 0])
+                        cells.append((plus1, plus2, n1, n2))
     k_cell = _familywise_k(k, len(cells))
     worst_tv, ok, any_conclusive = 0.0, True, bool(cells)
-    for outcome, m1, m2, n1, n2 in cells:
-        p1 = float((outcome[m1] == 1).mean())
-        p2 = float((outcome[m2] == 1).mean())
-        tv = abs(p1 - p2)
-        pooled = ((outcome[m1] == 1).sum() + (outcome[m2] == 1).sum()) / (n1 + n2)
+    for plus1, plus2, n1, n2 in cells:
+        tv = abs(plus1 / n1 - plus2 / n2)
+        pooled = (plus1 + plus2) / (n1 + n2)
         threshold = k_cell * math.sqrt(
             max(pooled * (1 - pooled), 1e-12) * (1 / n1 + 1 / n2)
         )
@@ -241,50 +231,28 @@ def check_locality(
     )
 
 
-def toy_theta_bins(log: RunLog) -> np.ndarray:
-    """Quarter-interval bins of the prepared hidden angles, 16 joint bins."""
-    q1 = np.minimum((log.lam["theta1"] / (math.pi / 4)).astype(np.int64), 3)
-    q2 = np.minimum((log.lam["theta2"] / (math.pi / 4)).astype(np.int64), 3)
-    return 4 * q1 + q2
-
-
-def lhv_strategy_bins(log: RunLog) -> np.ndarray:
-    return log.lam["strategy"].astype(np.int64)
-
-
-LAMBDA_BINNERS = {
-    MODEL_TOY: toy_theta_bins,
-    MODEL_LHV: lhv_strategy_bins,
-}
-
-
 def check_settings_independence(
-    log: RunLog,
-    k: float = 3.0,
-    min_cell: int = MIN_CELL,
+    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
     """rho(lambda | X, Y) = rho(lambda) over the model-declared binning."""
-    binner = LAMBDA_BINNERS.get(log.model)
-    if binner is None:
+    if not table.binned:
         return AssumptionCheck(
             "settings_independence", None, None, None,
             detail="model declares no hidden-state payload; not applicable",
         )
-    bins = np.asarray(binner(log))
     return _tv_by_settings(
-        bins, int(bins.max()) + 1 if bins.size else 1,
-        log.x, log.y, k, min_cell, "settings_independence",
+        table.counts.sum(axis=(2, 3, 4, 5)), k, min_cell, "settings_independence",
         "max TV distance of binned hidden state per (x,y) from pooled",
     )
 
 
 def check_all(
-    log: RunLog, k: float = 3.0, min_cell: int = MIN_CELL
+    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionReport:
-    checks = dict(check_aoe(log, min_cell))
-    checks["nsd"] = check_nsd(log, k, min_cell)
-    checks["locality"] = check_locality(log, k, min_cell)
+    checks = dict(check_aoe(table, min_cell))
+    checks["nsd"] = check_nsd(table, k, min_cell)
+    checks["locality"] = check_locality(table, k, min_cell)
     checks["settings_independence"] = check_settings_independence(
-        log, k, min_cell
+        table, k, min_cell
     )
     return AssumptionReport(checks)

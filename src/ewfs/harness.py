@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ class CampaignConfig:
     seed: int = 0
     k: float = 3.0
     check_assumptions: bool = True
-    model_options: object | None = None
+    model_options: ToyOptions | LhvOptions | None = None
     out_dir: Path | None = None
     formats: tuple[str, ...] = ("json", "csv")
     label: str = ""
@@ -88,24 +88,11 @@ class CampaignConfig:
             "model": self.model,
             "seed": self.seed,
             "k": self.k,
-            "model_options": _options_echo(self.model_options),
+            "model_options": (
+                None if self.model_options is None else asdict(self.model_options)
+            ),
             "label": self.label,
         }
-
-
-def _options_echo(options) -> dict | None:
-    if options is None:
-        return None
-    if isinstance(options, ToyOptions):
-        return {
-            "alice_angles": list(options.alice_angles),
-            "bob_angles": list(options.bob_angles),
-            "theta_after_plus": options.theta_after_plus,
-            "theta_after_minus": options.theta_after_minus,
-        }
-    if isinstance(options, LhvOptions):
-        return {"weights": list(options.weights)}
-    return {"repr": repr(options)}
 
 
 @dataclass
@@ -117,8 +104,9 @@ class CampaignResult:
     report: dict = field(default_factory=dict)
 
 
-def _report_dict(config: CampaignConfig, log: RunLog, ineq, assum) -> dict:
-    table = inequality.tabulate(log)
+def _report_dict(
+    config: CampaignConfig, table: inequality.CountTable, ineq, assum
+) -> dict:
     e = inequality.expectations(table)
     counts = {}
     expect = {}
@@ -144,12 +132,15 @@ def _report_dict(config: CampaignConfig, log: RunLog, ineq, assum) -> dict:
 
 def _lambda_tags(lam: dict, lo: int, hi: int) -> list[str]:
     """``key=value`` pairs joined by ';' in key order, one tag per row:
-    floats as %.17g, integers plainly."""
+    floats as %.17g, integers plainly.  Each distinct value is formatted
+    once; floats are told apart by their bits, so -0.0 stays "-0"."""
     columns = []
     for key in sorted(lam):
         values = lam[key][lo:hi]
+        bits, rows = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
         fmt = "{}={:.17g}" if values.dtype.kind == "f" else "{}={}"
-        columns.append([fmt.format(key, v) for v in values.tolist()])
+        text = [fmt.format(key, v) for v in bits.view(values.dtype).tolist()]
+        columns.append(np.array(text, dtype=object)[rows].tolist())
     if not columns:
         return [""] * (hi - lo)
     return [";".join(parts) for parts in zip(*columns)]
@@ -173,9 +164,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     log = run_trials(
         config.scenario, config.model, config.seed, options=config.model_options
     )
-    ineq = inequality.evaluate(log, k=config.k)
-    assum = assumptions_mod.check_all(log, k=config.k) if config.check_assumptions else None
-    report = _report_dict(config, log, ineq, assum)
+    table = inequality.tabulate(log)
+    ineq = inequality.evaluate(table, k=config.k)
+    assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
+    report = _report_dict(config, table, ineq, assum)
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,10 @@ a joint distribution over all four setting-outcomes exists, iff every one of
 the 8 CHSH sign variants stays at or below 2.  Both routes are implemented
 (LP feasibility and direct facet evaluation) and cross-checked in tests.
 
+Every statistic here, and every assumption check, reads one ``CountTable``:
+the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
+run log in a single pass.
+
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
 """
@@ -21,7 +25,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import qcore
-from .models import RunLog, UNDEFINED, ewfs_outcome_tables, lhv_strategies
+from .models import LAMBDA_BINNERS, LAMBDA_BINS, RunLog
+from .models import ewfs_outcome_tables, lhv_strategies
 from .scenario import BRUKNER_EWFS, ScenarioSpec
 
 CHSH_BOUND = 2.0
@@ -31,7 +36,7 @@ SIGNALING_TOL = 1e-6
 __all__ = [
     "CHSH_BOUND",
     "EmptyCell",
-    "BehaviorTable",
+    "CountTable",
     "ExpectationMatrix",
     "PolytopeVerdict",
     "IdentityCheck",
@@ -55,30 +60,47 @@ class EmptyCell(ValueError):
     """A required setting-pair cell holds no trials."""
 
 
-def _outcome_index(values: np.ndarray) -> np.ndarray:
-    # +1 -> 0, -1 -> 1
-    return ((1 - values) // 2).astype(np.int64)
+# Axis index of an outcome, looked up by its value: +1 -> 0, -1 -> 1 and
+# UNDEFINED (0) -> 2 (index -1 reads the last entry).
+_AXIS_INDEX = np.array([2, 0, 1], dtype=np.int16)
 
 
 @dataclass
-class BehaviorTable:
-    """Counts N(a, b | x, y) with derived conditional probabilities."""
+class CountTable:
+    """Counts N(x, y, a, b, c, d, lambda-bin) of a run log.
 
-    counts: np.ndarray  # (x, y, a, b) with outcome index 0 -> +1, 1 -> -1
+    Axes: x, y are setting index - 1; a, b are 0 <-> +1, 1 <-> -1; c, d
+    add 2 <-> undefined; the lambda axis holds the model's binning of its
+    hidden-state payload (``binned``), or a single bin when it declares none.
+    """
+
+    counts: np.ndarray  # int64, shape (2, 2, 2, 2, 3, 3, n_bins)
+    binned: bool
+
+    def behavior(self) -> np.ndarray:
+        """N(a, b | x, y), shape (2, 2, 2, 2)."""
+        return self.counts.sum(axis=(4, 5, 6))
 
     def n(self) -> np.ndarray:
         """Trial totals per setting pair, shape (2, 2)."""
-        return self.counts.sum(axis=(2, 3))
+        return self.counts.sum(axis=(2, 3, 4, 5, 6))
+
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     def probs(self) -> np.ndarray:
         n = self.n()[:, :, None, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            p = np.where(n > 0, self.counts / np.maximum(n, 1), np.nan)
+            p = np.where(n > 0, self.behavior() / np.maximum(n, 1), np.nan)
         return p
 
     def empty_pairs(self) -> list[tuple[int, int]]:
         n = self.n()
         return [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
+
+    def friends_defined(self) -> bool:
+        """No trial leaves C or D undefined."""
+        return int(self.counts[:, :, :, :, :2, :2].sum()) == self.total()
 
 
 @dataclass
@@ -90,30 +112,38 @@ class ExpectationMatrix:
     n: np.ndarray  # (2, 2) ints
 
 
-def _gather(log: RunLog) -> tuple[np.ndarray, ...]:
-    """(x, y, a, b, c, d) of a log as int64 arrays."""
-    return tuple(np.asarray(getattr(log, n), dtype=np.int64) for n in "xyabcd")
-
-
-def tabulate(log: RunLog) -> BehaviorTable:
-    """Exact outcome counting of a run log into N(a, b | x, y)."""
-    x, y, a, b, _, _ = _gather(log)
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    if x.size:
-        if x.min() < 1 or x.max() > 2 or y.min() < 1 or y.max() > 2:
+def tabulate(log: RunLog) -> CountTable:
+    """Count a run log into N(x, y, a, b, c, d, lambda-bin) with one
+    ``np.bincount`` over an int16 cell key."""
+    for setting in (log.x, log.y):
+        if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
-        np.add.at(counts, (x - 1, y - 1, _outcome_index(a), _outcome_index(b)), 1)
-    return BehaviorTable(counts)
+    binner = LAMBDA_BINNERS.get(log.model)
+    key = (log.x - 1).astype(np.int16)
+    key *= 2
+    key += log.y - 1
+    for column, size in ((log.a, 2), (log.b, 2), (log.c, 3), (log.d, 3)):
+        key *= size
+        key += _AXIS_INDEX[column]
+    n_bins = 1
+    if binner is not None and len(log):
+        bins = binner(log)
+        if bins.min() < 0 or bins.max() >= LAMBDA_BINS:
+            raise ValueError(f"lambda bins outside 0..{LAMBDA_BINS - 1}")
+        n_bins = int(bins.max()) + 1
+        key *= n_bins
+        key += bins
+    counts = np.bincount(key, minlength=144 * n_bins)
+    return CountTable(counts.reshape(2, 2, 2, 2, 3, 3, n_bins), binner is not None)
 
 
-def expectations(table: BehaviorTable) -> ExpectationMatrix:
+def expectations(table: CountTable) -> ExpectationMatrix:
     n = table.n()
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = np.einsum("xyab,ab->xy", table.counts, sign) / np.maximum(n, 1)
-    e = np.where(n > 0, e, np.nan)
-    # SE of the mean of +/-1 products
-    with np.errstate(invalid="ignore", divide="ignore"):
+        e = np.einsum("xyab,ab->xy", table.behavior(), sign) / np.maximum(n, 1)
+        e = np.where(n > 0, e, np.nan)
+        # SE of the mean of +/-1 products
         se = np.sqrt(np.clip(1.0 - e**2, 0.0, None) / np.maximum(n, 1))
     se = np.where(n > 0, se, np.nan)
     return ExpectationMatrix(e, se, n.astype(np.int64))
@@ -153,7 +183,6 @@ def chsh_variant_value(e: ExpectationMatrix, variant: int) -> tuple[float, float
 
 def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
     """Maximum over the 8 CHSH sign placements; the local bound is 2 for all."""
-    _require_full(e)
     best, best_id = -np.inf, 0
     for variant in range(8):
         value, _ = chsh_variant_value(e, variant)
@@ -164,7 +193,7 @@ def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
 
 def deterministic_strategy_tables() -> np.ndarray:
     """Behaviors of the 16 deterministic strategies, shape (16, 2, 2, 2, 2)."""
-    idx = _outcome_index(lhv_strategies())  # columns A1, A2, B1, B2
+    idx = _AXIS_INDEX[lhv_strategies()]  # columns A1, A2, B1, B2
     s, x, y = np.ix_(range(16), range(2), range(2))
     tables = np.zeros((16, 2, 2, 2, 2))
     tables[s, x, y, idx[s, x], idx[s, 2 + y]] = 1.0
@@ -201,7 +230,7 @@ class PolytopeVerdict:
 
 
 def local_polytope_feasible(
-    table: BehaviorTable | np.ndarray,
+    table: CountTable | np.ndarray,
     tol: float = LP_TOL,
     signaling_tol: float = SIGNALING_TOL,
 ) -> PolytopeVerdict:
@@ -212,7 +241,7 @@ def local_polytope_feasible(
     Solves min t  s.t.  |V w - p| <= t elementwise, w >= 0, sum w = 1,
     where V stacks the 16 vertex behaviors.
     """
-    probs = table.probs() if isinstance(table, BehaviorTable) else np.asarray(table)
+    probs = table.probs() if isinstance(table, CountTable) else np.asarray(table)
     if np.isnan(probs).any():
         raise EmptyCell("behavior table has empty setting-pair cells")
     if signaling_measure(probs) > signaling_tol:
@@ -300,8 +329,6 @@ class IdentityCheck:
     lhs: float
     rhs: float
     se: float
-    n_lhs: int
-    n_rhs: int
     k: float
 
     @property
@@ -344,16 +371,6 @@ class DerivationChainReport:
         }
 
 
-def _correlator(first, second, mask) -> tuple[float, float, int]:
-    n = int(mask.sum())
-    if n == 0:
-        raise EmptyCell("no trials for a required setting pair")
-    prod = (first[mask] * second[mask]).astype(float)
-    mean = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se, n
-
-
 def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainReport:
     """Audit the expectation-value identification chain that turns the
     four-observer inequality into the superobserver CHSH inequality.
@@ -363,19 +380,26 @@ def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainRepor
                                      friend/superobserver substitution)
       <CB|22> = <CB|12> = <AB|12>
       <AD|22> = <AD|21> = <AB|21>
+
+    Each correlator of +/-1 products has mean m over n trials and standard
+    error sqrt(var / n) with var = n / (n - 1) * (1 - m^2).
     """
-    empty = tabulate(log).empty_pairs()
+    table = tabulate(log)
+    empty = table.empty_pairs()
     if empty:
         raise EmptyCell(f"missing setting coverage: {empty}")
-    x, y, a, b, c, d = _gather(log)
-    if (c == UNDEFINED).any() or (d == UNDEFINED).any():
+    if not table.friends_defined():
         raise ValueError("derivation chain needs defined friend outcomes everywhere")
+    # N(x, y, a, b, c, d) over defined friend outcomes
+    counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]
 
-    sides = {"A": a, "B": b, "C": c, "D": d}
-
-    def corr(pair: str, xv: int, yv: int):
-        mask = (x == xv) & (y == yv)
-        return _correlator(sides[pair[0]], sides[pair[1]], mask)
+    def corr(pair: str, xv: int, yv: int) -> tuple[float, float]:
+        i, j = ("ABCD".index(side) for side in pair)
+        cell = counts[xv - 1, yv - 1].sum(axis=tuple({0, 1, 2, 3} - {i, j}))
+        n = int(cell.sum())
+        mean = (2 * int(np.trace(cell)) - n) / n
+        se = math.sqrt(n / (n - 1) * (1.0 - mean * mean) / n) if n > 1 else 0.0
+        return mean, se
 
     chain = [
         ("nsd:CD22=CD11", ("CD", 2, 2), ("CD", 1, 1)),
@@ -387,13 +411,8 @@ def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainRepor
     ]
     identities = []
     for label, lhs_spec, rhs_spec in chain:
-        lhs, se_l, n_l = corr(*lhs_spec)
-        rhs, se_r, n_r = corr(*rhs_spec)
-        identities.append(
-            IdentityCheck(
-                label, lhs, rhs, math.sqrt(se_l**2 + se_r**2), n_l, n_r, k
-            )
-        )
+        (lhs, se_l), (rhs, se_r) = corr(*lhs_spec), corr(*rhs_spec)
+        identities.append(IdentityCheck(label, lhs, rhs, math.sqrt(se_l**2 + se_r**2), k))
     return DerivationChainReport(identities)
 
 
@@ -427,14 +446,15 @@ class InequalityReport:
         }
 
 
-def evaluate(log: RunLog, k: float = 3.0, check_polytope: bool = True) -> InequalityReport:
-    """Tabulate a log and evaluate CHSH statistics plus polytope membership.
+def evaluate(
+    table: CountTable, k: float = 3.0, check_polytope: bool = True
+) -> InequalityReport:
+    """CHSH statistics plus polytope membership of a count table.
 
     The membership tolerance widens with the sampling noise of the table
     (k binomial standard errors on the least-populated cell) so finite logs
     of local models are not flagged infeasible by fluctuation alone.
     """
-    table = tabulate(log)
     e = expectations(table)
     s, se = chsh_value(e)
     s_max, variant = chsh_max_variant(e)

@@ -72,6 +72,10 @@ __all__ = [
     "run_trials",
     "singlet_joint_probs",
     "ewfs_outcome_tables",
+    "LAMBDA_BINS",
+    "LAMBDA_BINNERS",
+    "toy_theta_bins",
+    "lhv_strategy_bins",
 ]
 
 
@@ -167,11 +171,7 @@ def lhv_exact_expectations(weights) -> np.ndarray:
     """Exact correlators E(x, y) of a strategy mixture, by enumeration."""
     w = np.asarray(weights, dtype=float)
     strat = lhv_strategies().astype(float)
-    e = np.empty((2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            e[x, y] = float(np.sum(w * strat[:, x] * strat[:, 2 + y]))
-    return e
+    return np.einsum("s,sx,sy->xy", w, strat[:, :2], strat[:, 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +211,16 @@ def _sample_discrete(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum.size - 1)
 
 
-def _joint_outcomes(table: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (A, B) in {+1,-1} jointly from a 2x2 probability table."""
-    idx = _sample_discrete(np.cumsum(table.reshape(-1)), u)
-    a = np.where(idx // 2 == 0, 1, -1).astype(np.int8)
-    b = np.where(idx % 2 == 0, 1, -1).astype(np.int8)
+def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (A, B) in {+1,-1} per trial from the 2x2 probability table of
+    its setting pair."""
+    a = np.empty(xs.size, dtype=np.int8)
+    b = np.empty(xs.size, dtype=np.int8)
+    for (x, y), table in tables.items():
+        mask = (xs == x) & (ys == y)
+        idx = _sample_discrete(np.cumsum(table.reshape(-1)), u[mask])
+        a[mask] = np.where(idx // 2 == 0, 1, -1)
+        b[mask] = np.where(idx % 2 == 0, 1, -1)
     return a, b
 
 
@@ -227,13 +232,7 @@ def _batch_unitary_qm(spec, xs, ys, u, options=None) -> RunLog:
     if spec.kind != BRUKNER_EWFS:
         raise UnsupportedScenario("unitary-qm only models the EWFS arrangement")
     tables = ewfs_outcome_tables(spec, qcore.brukner_state())
-    n = xs.size
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
-    for (x, y), table in tables.items():
-        mask = (xs == x) & (ys == y)
-        if mask.any():
-            a[mask], b[mask] = _joint_outcomes(table, u[mask, 0])
+    a, b = _joint_outcomes(tables, xs, ys, u[:, 0])
     c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
     d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
     return RunLog(spec.kind, MODEL_UNITARY_QM, xs, ys, a, b, c, d)
@@ -284,8 +283,6 @@ def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
     b = np.empty(n, dtype=np.int8)
     for (x, y), (p_a_plus, p_b_plus_up, p_b_plus_dn) in tables.items():
         mask = (xs == x) & (ys == y)
-        if not mask.any():
-            continue
         a_plus = u[mask, 0] < p_a_plus
         p_b_plus = np.where(a_plus, p_b_plus_up, p_b_plus_dn)
         a[mask] = np.where(a_plus, 1, -1)
@@ -313,17 +310,12 @@ def _batch_toy(spec, xs, ys, u, options=None) -> RunLog:
         # Friends draw C, D from the hidden angles (uncorrelated wings);
         # superobserver outcomes mimic collapse-model quantum correlations
         # at the configured angles, independently of C and D.
-        a = np.empty(n, dtype=np.int8)
-        b = np.empty(n, dtype=np.int8)
-        for x in (1, 2):
-            for y in (1, 2):
-                mask = (xs == x) & (ys == y)
-                if not mask.any():
-                    continue
-                table = singlet_joint_probs(
-                    opts.alice_angles[x - 1], opts.bob_angles[y - 1]
-                )
-                a[mask], b[mask] = _joint_outcomes(table, u[mask, 4])
+        tables = {
+            (x, y): singlet_joint_probs(opts.alice_angles[x - 1], opts.bob_angles[y - 1])
+            for x in (1, 2)
+            for y in (1, 2)
+        }
+        a, b = _joint_outcomes(tables, xs, ys, u[:, 4])
         return RunLog(spec.kind, MODEL_TOY, xs, ys, a, b, out1, out2, lam)
     # Standard Bell: the parties measure the particles directly, so outcomes
     # are governed by the hidden angles alone, ignoring measurement angles.
@@ -358,11 +350,34 @@ _BATCH = {
 
 
 # ---------------------------------------------------------------------------
+# hidden-state binning: the lambda axis of inequality.tabulate's count table
+
+# Every binner maps the lambda payload into 0 .. LAMBDA_BINS - 1.
+LAMBDA_BINS = 16
+
+
+def toy_theta_bins(log: RunLog) -> np.ndarray:
+    """Quarter-interval bins of the prepared hidden angles, 16 joint bins."""
+    q1 = np.minimum((log.lam["theta1"] / (math.pi / 4)).astype(np.int64), 3)
+    q2 = np.minimum((log.lam["theta2"] / (math.pi / 4)).astype(np.int64), 3)
+    return 4 * q1 + q2
+
+
+def lhv_strategy_bins(log: RunLog) -> np.ndarray:
+    return log.lam["strategy"].astype(np.int64)
+
+
+LAMBDA_BINNERS = {
+    MODEL_TOY: toy_theta_bins,
+    MODEL_LHV: lhv_strategy_bins,
+}
+
+
+# ---------------------------------------------------------------------------
 # campaign execution
 
-
-def model_stream(model: str) -> str:
-    return f"model:{model}"
+# The options class each model accepts; the other models take None.
+_OPTIONS = {MODEL_TOY: ToyOptions, MODEL_LHV: LhvOptions}
 
 
 def run_trials(
@@ -376,11 +391,15 @@ def run_trials(
     """Run a contiguous block of trials; row i depends only on (seed, i)."""
     if model not in _BATCH:
         raise ValueError(f"unknown model {model!r}")
+    expected = _OPTIONS.get(model)
+    if options is not None and not (expected and isinstance(options, expected)):
+        takes = f"{expected.__name__} or None" if expected else "no options"
+        raise ValueError(f"model {model!r} takes {takes}")
     if n_trials is None:
         n_trials = spec.trials - first_trial
     xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
     u = uniform_block(
-        seed, model_stream(model), n_trials, DRAWS_PER_TRIAL[model], first_trial
+        seed, f"model:{model}", n_trials, DRAWS_PER_TRIAL[model], first_trial
     )
     log = _BATCH[model](spec, xs.astype(np.int8), ys.astype(np.int8), u, options)
     log.first_trial = first_trial

@@ -17,6 +17,7 @@ from ewfs.inequality import (
     chsh_max_variant,
     evaluate,
     local_polytope_feasible,
+    tabulate,
     verify_derivation_chain,
 )
 from ewfs.models import (
@@ -87,7 +88,8 @@ def test_criterion_1_quantum_violation():
         exact = analytic_quantum_S(brukner_state(), spec)
         assert abs(exact - TSIRELSON) < 1e-9
         report = evaluate(
-            run_trials(spec, MODEL_UNITARY_QM, seed=100), check_polytope=False
+            tabulate(run_trials(spec, MODEL_UNITARY_QM, seed=100)),
+            check_polytope=False,
         )
         assert report.violated
         assert abs(report.s_max - TSIRELSON) <= 3 * report.s_max_se
@@ -97,7 +99,7 @@ def test_criterion_2_model_separation_matrix():
     with criterion(2, "toy/collapse models separate Bell and EWFS verdicts"):
         n = 1_000_000
         toy_bell = evaluate(
-            run_trials(default_scenario(STANDARD_BELL, n), MODEL_TOY, seed=101),
+            tabulate(run_trials(default_scenario(STANDARD_BELL, n), MODEL_TOY, seed=101)),
             check_polytope=False,
         )
         assert abs(toy_bell.s) < 0.01
@@ -105,24 +107,28 @@ def test_criterion_2_model_separation_matrix():
         assert not toy_bell.violated
 
         toy_ewfs = evaluate(
-            run_trials(
+            tabulate(run_trials(
                 default_scenario(BRUKNER_EWFS, n), MODEL_TOY, seed=102,
                 options=TOY_OPTIMAL_CHSH,
-            ),
+            )),
             check_polytope=False,
         )
         assert toy_ewfs.s_max >= 2.7
         assert toy_ewfs.violated
 
         collapse_bell = evaluate(
-            run_trials(default_scenario(STANDARD_BELL, n), MODEL_COLLAPSE, seed=103),
+            tabulate(
+                run_trials(default_scenario(STANDARD_BELL, n), MODEL_COLLAPSE, seed=103)
+            ),
             check_polytope=False,
         )
         assert collapse_bell.s_max >= 2.7
         assert collapse_bell.violated
 
         collapse_ewfs = evaluate(
-            run_trials(default_scenario(BRUKNER_EWFS, n), MODEL_COLLAPSE, seed=104),
+            tabulate(
+                run_trials(default_scenario(BRUKNER_EWFS, n), MODEL_COLLAPSE, seed=104)
+            ),
             check_polytope=False,
         )
         assert collapse_ewfs.s_max <= CHSH_BOUND + 3 * collapse_ewfs.s_max_se
@@ -138,13 +144,13 @@ def test_criterion_3_forward_direction():
             weights = tuple(rng.dirichlet(np.full(16, 0.7)))
             assert _exact_s_max(weights) <= CHSH_BOUND + 1e-12
             if draw < 3:  # simulated spot checks at full trial count
-                log = run_trials(
+                table = tabulate(run_trials(
                     spec, MODEL_LHV, seed=200 + draw,
                     options=LhvOptions(weights=weights),
-                )
-                report = check_all(log)
+                ))
+                report = check_all(table)
                 assert report.all_passed(five), report.to_dict()
-                assert not evaluate(log).violated
+                assert not evaluate(table).violated
 
         # synthetic logs that do violate the bound each break an assumption
         n = 100_000
@@ -153,31 +159,31 @@ def test_criterion_3_forward_direction():
 
         # (a) friends copy quantum superobserver outcomes -> NSD fails
         a, b = _sampled_quantum_wings(rng, x, y, OPT_A, OPT_B)
-        log_a = synthetic_log(x, y, a, b, a, b, model="synthetic")
-        assert evaluate(log_a).s_max > CHSH_BOUND + 3 * evaluate(log_a).s_max_se
-        rep_a = check_all(log_a)
+        table_a = tabulate(synthetic_log(x, y, a, b, a, b, model="synthetic"))
+        assert evaluate(table_a).s_max > CHSH_BOUND + 3 * evaluate(table_a).s_max_se
+        rep_a = check_all(table_a)
         assert rep_a.passed("nsd") is False
         assert rep_a.all_passed(["aoe_i", "aoe_ii", "aoe_iii", "locality"])
 
         # (b) quantum wings with independent coin friends -> AOE ii fails
         c = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
         d = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-        log_b = synthetic_log(x, y, a, b, c, d, model="synthetic")
-        assert evaluate(log_b).violated
-        rep_b = check_all(log_b)
+        table_b = tabulate(synthetic_log(x, y, a, b, c, d, model="synthetic"))
+        assert evaluate(table_b).violated
+        rep_b = check_all(table_b)
         assert rep_b.passed("aoe_ii") is False
 
         # (c) signalling wing: A flips with the distant setting -> L fails
         c2 = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
         a2 = np.where((x == 2) & (y == 2), -c2, c2)
-        log_c = synthetic_log(x, y, a2, c2, c2, c2, model="synthetic")
-        rep_c = check_all(log_c)
-        assert evaluate(log_c, check_polytope=False).s_max > 3.9
+        table_c = tabulate(synthetic_log(x, y, a2, c2, c2, c2, model="synthetic"))
+        rep_c = check_all(table_c)
+        assert evaluate(table_c, check_polytope=False).s_max > 3.9
         assert rep_c.passed("locality") is False
         assert rep_c.all_passed(["aoe_i", "aoe_ii", "aoe_iii", "nsd"])
 
-        for log in (log_a, log_b, log_c):
-            rep = check_all(log)
+        for table in (table_a, table_b, table_c):
+            rep = check_all(table)
             assert not rep.all_passed(five)
 
 
@@ -220,13 +226,13 @@ def test_criterion_6_aoe_consistency():
     with criterion(6, "friend/superobserver agreement: exact for local models, broken for toy"):
         spec = default_scenario(BRUKNER_EWFS, 250_000)
         for model, seed in ((MODEL_COLLAPSE, 400), (MODEL_LHV, 401)):
-            report = check_all(run_trials(spec, model, seed=seed))
+            report = check_all(tabulate(run_trials(spec, model, seed=seed)))
             for name in ("aoe_ii", "aoe_iii"):
                 check = report.checks[name]
                 assert check.cell_sizes["conditioned"] >= 100_000
                 assert check.statistic == 1.0
                 assert check.passed is True
-        toy = check_all(run_trials(spec, MODEL_TOY, seed=402))
+        toy = check_all(tabulate(run_trials(spec, MODEL_TOY, seed=402)))
         assert toy.checks["aoe_ii"].statistic < 0.95
         assert toy.checks["aoe_iii"].statistic < 0.95
 

@@ -12,16 +12,17 @@ from ewfs.assumptions import (
     check_locality,
     check_nsd,
     check_settings_independence,
-    lhv_strategy_bins,
-    toy_theta_bins,
 )
+from ewfs.inequality import tabulate
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_TOY,
     MODEL_UNITARY_QM,
     TOY_OPTIMAL_CHSH,
+    lhv_strategy_bins,
     run_trials,
+    toy_theta_bins,
 )
 from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 
@@ -35,7 +36,7 @@ def _uniform_settings(rng, n):
 
 def test_collapse_model_passes_every_check():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
-    report = check_all(run_trials(spec, MODEL_COLLAPSE, seed=0))
+    report = check_all(tabulate(run_trials(spec, MODEL_COLLAPSE, seed=0)))
     assert report.all_passed(["aoe_i", "aoe_ii", "aoe_iii", "nsd", "locality"])
     # no hidden-state payload declared
     assert report.passed("settings_independence") is None
@@ -43,7 +44,7 @@ def test_collapse_model_passes_every_check():
 
 def test_lhv_model_passes_every_check():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
-    report = check_all(run_trials(spec, MODEL_LHV, seed=0))
+    report = check_all(tabulate(run_trials(spec, MODEL_LHV, seed=0)))
     assert report.all_passed(
         ["aoe_i", "aoe_ii", "aoe_iii", "nsd", "locality", "settings_independence"]
     )
@@ -52,7 +53,7 @@ def test_lhv_model_passes_every_check():
 def test_toy_model_breaks_exactly_the_aoe_substitution():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
     report = check_all(
-        run_trials(spec, MODEL_TOY, seed=0, options=TOY_OPTIMAL_CHSH)
+        tabulate(run_trials(spec, MODEL_TOY, seed=0, options=TOY_OPTIMAL_CHSH))
     )
     assert report.passed("aoe_i") is True
     assert report.passed("aoe_ii") is False
@@ -63,7 +64,7 @@ def test_toy_model_breaks_exactly_the_aoe_substitution():
 
 def test_unitary_model_leaves_friend_checks_inconclusive():
     spec = default_scenario(BRUKNER_EWFS, 20_000)
-    report = check_all(run_trials(spec, MODEL_UNITARY_QM, seed=0))
+    report = check_all(tabulate(run_trials(spec, MODEL_UNITARY_QM, seed=0)))
     assert report.passed("aoe_i") is False  # no outcome on unopened branches
     assert report.passed("nsd") is None
     assert report.passed("locality") is None
@@ -80,7 +81,7 @@ def test_aoe_fails_on_a_single_disagreement():
     a = np.where(x == 1, c, 1)
     a[np.flatnonzero(x == 1)[0]] *= -1  # one broken record
     log = synthetic_log(x, y, a, np.ones(n), c, np.ones(n))
-    checks = check_aoe(log)
+    checks = check_aoe(tabulate(log))
     assert checks["aoe_ii"].passed is False
     assert checks["aoe_ii"].statistic < 1.0
     assert checks["aoe_iii"].passed is True
@@ -93,7 +94,7 @@ def test_nsd_fails_when_friend_reads_the_setting():
     c = np.where(x == 1, 1, -1)  # superdeterministic friend
     d = np.where(rng.random(n) < 0.5, 1, -1)
     log = synthetic_log(x, y, c, d, c, d)
-    check = check_nsd(log)
+    check = check_nsd(tabulate(log))
     assert check.passed is False
     assert check.statistic > 0.4
 
@@ -106,7 +107,7 @@ def test_locality_fails_when_wing_reads_distant_setting():
     d = np.where(rng.random(n) < 0.5, 1, -1)
     a = np.where(y == 1, 1, -1)  # Alice's outcome is the distant setting
     log = synthetic_log(x, y, a, d, c, d)
-    check = check_locality(log)
+    check = check_locality(tabulate(log))
     assert check.passed is False
     assert check.statistic == pytest.approx(1.0)
 
@@ -122,7 +123,7 @@ def test_settings_independence_fails_for_correlated_hidden_state():
         model=MODEL_TOY,
         lam={"theta1": theta1, "theta2": theta2},
     )
-    check = check_settings_independence(log)
+    check = check_settings_independence(tabulate(log))
     assert check.passed is False
     assert check.statistic > 0.4
 
@@ -136,15 +137,15 @@ def test_small_cells_are_inconclusive():
     x, y = _uniform_settings(rng, n)
     c = np.where(rng.random(n) < 0.5, 1, -1)
     log = synthetic_log(x, y, c, c, c, c)
-    assert check_nsd(log).passed is None
-    assert check_locality(log).passed is None
+    assert check_nsd(tabulate(log)).passed is None
+    assert check_locality(tabulate(log)).passed is None
 
 
 def test_nsd_inconclusive_without_friend_outcomes():
     spec = default_scenario(STANDARD_BELL, 5_000)
     log = run_trials(spec, MODEL_COLLAPSE, seed=0)
-    assert check_nsd(log).passed is None
-    assert check_locality(log).passed is None
+    assert check_nsd(tabulate(log)).passed is None
+    assert check_locality(tabulate(log)).passed is None
 
 
 def test_familywise_threshold_grows_with_comparisons():
@@ -160,7 +161,7 @@ def test_locality_passes_for_honest_toy_model_across_seeds():
     spec = default_scenario(BRUKNER_EWFS, 50_000)
     for seed in range(4):
         log = run_trials(spec, MODEL_TOY, seed=seed, options=TOY_OPTIMAL_CHSH)
-        assert check_locality(log).passed is True
+        assert check_locality(tabulate(log)).passed is True
 
 
 def test_lambda_binners():
@@ -174,7 +175,7 @@ def test_lambda_binners():
 
 def test_report_serialization():
     spec = default_scenario(BRUKNER_EWFS, 2_000)
-    report = check_all(run_trials(spec, MODEL_LHV, seed=0))
+    report = check_all(tabulate(run_trials(spec, MODEL_LHV, seed=0)))
     d = report.to_dict()
     assert set(d) == {
         "aoe_i", "aoe_ii", "aoe_iii", "nsd", "locality", "settings_independence"

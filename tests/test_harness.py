@@ -22,7 +22,14 @@ from ewfs.harness import (
     parse_settings_spec,
     run_campaign,
 )
-from ewfs.models import MODEL_COLLAPSE, MODEL_LHV, MODEL_TOY, LhvOptions, ToyOptions
+from ewfs.models import (
+    MODEL_COLLAPSE,
+    MODEL_LHV,
+    MODEL_TOY,
+    LhvOptions,
+    ToyOptions,
+    run_trials,
+)
 from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 
 NON_FINITE = ("nan", "inf", "-inf")
@@ -155,6 +162,47 @@ def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, model
     _csv_rows(tmp_path / "many", model, 1_000)
     one, many = ((tmp_path / d / "runs.csv").read_bytes() for d in ("one", "many"))
     assert one == many
+
+
+def _per_row_tags(lam, lo, hi):
+    """Reference: format every row's lambda values one by one."""
+    columns = []
+    for key in sorted(lam):
+        values = lam[key][lo:hi]
+        fmt = "{}={:.17g}" if values.dtype.kind == "f" else "{}={}"
+        columns.append([fmt.format(key, v) for v in values.tolist()])
+    if not columns:
+        return [""] * (hi - lo)
+    return [";".join(parts) for parts in zip(*columns)]
+
+
+@pytest.mark.parametrize(
+    "model,options",
+    [
+        (MODEL_TOY, None),
+        (MODEL_TOY, ToyOptions(theta_after_plus=-0.0, theta_after_minus=0.0)),
+        (MODEL_LHV, None),
+        (MODEL_COLLAPSE, None),
+    ],
+)
+def test_lambda_tags_match_per_row_formatting(model, options):
+    log = run_trials(default_scenario(BRUKNER_EWFS, 3_000), model, seed=3, options=options)
+    for lo, hi in ((0, 3_000), (17, 1_234), (5, 5)):
+        assert harness._lambda_tags(log.lam, lo, hi) == _per_row_tags(log.lam, lo, hi)
+    if options is not None:
+        posts = set(harness._lambda_tags(log.lam, 0, 3_000)[0].split(";")[1::2])
+        assert posts <= {"theta1_post=-0", "theta1_post=0", "theta2_post=-0", "theta2_post=0"}
+
+
+def test_mismatched_options_are_rejected_before_any_output(tmp_path):
+    for model, options in ((MODEL_LHV, ToyOptions()), (MODEL_COLLAPSE, object())):
+        config = CampaignConfig(
+            default_scenario(BRUKNER_EWFS, 100), model, model_options=options,
+            out_dir=tmp_path,
+        )
+        with pytest.raises(ValueError, match="takes"):
+            run_campaign(config)
+    assert not list(tmp_path.iterdir())
 
 
 def test_format_selection(tmp_path):

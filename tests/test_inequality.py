@@ -8,7 +8,6 @@ from conftest import synthetic_log
 from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
-    BehaviorTable,
     EmptyCell,
     ExpectationMatrix,
     analytic_expectations,
@@ -78,15 +77,15 @@ def test_tabulate_counts_exactly():
         a=[1, -1, 1, -1, 1], b=[-1, -1, 1, 1, -1],
     )
     table = tabulate(log)
-    assert table.counts.sum() == 5
-    assert table.counts[0, 0, 0, 1] == 2  # (x=1,y=1,a=+1,b=-1) twice
-    assert table.counts[1, 1, 1, 0] == 1
+    assert table.total() == 5
+    assert table.behavior()[0, 0, 0, 1] == 2  # (x=1,y=1,a=+1,b=-1) twice
+    assert table.behavior()[1, 1, 1, 0] == 1
     assert table.empty_pairs() == []
 
 
 def test_tabulate_empty_log():
     empty = tabulate(synthetic_log(x=[], y=[], a=[], b=[]))
-    assert empty.counts.sum() == 0
+    assert empty.total() == 0
     assert len(empty.empty_pairs()) == 4
 
 
@@ -271,7 +270,7 @@ def test_chain_gap_lookup():
 
 def test_evaluate_flags_quantum_violation():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
-    report = evaluate(run_trials(spec, MODEL_UNITARY_QM, seed=0))
+    report = evaluate(tabulate(run_trials(spec, MODEL_UNITARY_QM, seed=0)))
     assert report.violated
     assert report.s_max > 2.7
     assert not report.polytope.member
@@ -282,7 +281,7 @@ def test_evaluate_flags_quantum_violation():
 
 def test_evaluate_accepts_local_model():
     spec = default_scenario(BRUKNER_EWFS, 100_000)
-    report = evaluate(run_trials(spec, MODEL_LHV, seed=0))
+    report = evaluate(tabulate(run_trials(spec, MODEL_LHV, seed=0)))
     assert not report.violated
     assert report.s_max <= 2.0 + 3 * report.s_max_se
     assert report.polytope.member

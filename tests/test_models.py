@@ -165,6 +165,29 @@ def test_unsupported_combinations_raise():
         run_trials(default_scenario(STANDARD_BELL, 10), "nonsense", seed=0)
 
 
+@pytest.mark.parametrize(
+    "model,options",
+    [
+        (MODEL_LHV, ToyOptions()),
+        (MODEL_TOY, LhvOptions()),
+        (MODEL_COLLAPSE, object()),
+        (MODEL_COLLAPSE, LhvOptions()),
+        (MODEL_UNITARY_QM, ToyOptions()),
+    ],
+)
+def test_options_must_match_the_model(model, options):
+    spec = default_scenario(BRUKNER_EWFS, 10)
+    with pytest.raises(ValueError, match="takes"):
+        run_trials(spec, model, seed=0, options=options)
+    run_trials(spec, model, seed=0, options=None)
+
+
+def test_matching_options_are_accepted():
+    spec = default_scenario(BRUKNER_EWFS, 10)
+    run_trials(spec, MODEL_TOY, seed=0, options=TOY_OPTIMAL_CHSH)
+    run_trials(spec, MODEL_LHV, seed=0, options=LhvOptions())
+
+
 # --- model physics ---------------------------------------------------------
 
 
