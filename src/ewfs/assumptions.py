@@ -96,9 +96,16 @@ def _familywise_k(k: float, comparisons: int) -> float:
     return -NormalDist().inv_cdf(per_cell / 2.0)
 
 
+def _require_min_cell(min_cell: int) -> None:
+    # An empty conditioning cell must never count as conclusive.
+    if not min_cell >= 1:
+        raise ValueError(f"min_cell must be at least 1, got {min_cell!r}")
+
+
 def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, AssumptionCheck]:
     """AOE items i-iii.  Agreement for ii/iii must be exact (frequency 1 with
     zero counterexamples) on the conditioned records."""
+    _require_min_cell(min_cell)
     checks = {}
     total = table.total()
     counts = table.counts.sum(axis=6)  # (x, y, a, b, c, d)
@@ -177,6 +184,7 @@ def check_nsd(
     table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
     """P(C, D | X, Y) = P(C, D): friend outcomes ignore the setting choices."""
+    _require_min_cell(min_cell)
     if not table.friends_defined():
         return _friends_undefined("nsd")
     # outcome 2 * c + d per (x, y)
@@ -191,6 +199,7 @@ def check_locality(
     table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
     """Parameter independence: P(A | C, D, X) ignores Y, and symmetrically."""
+    _require_min_cell(min_cell)
     if not table.friends_defined():
         return _friends_undefined("locality")
     counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
@@ -235,6 +244,7 @@ def check_settings_independence(
     table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
     """rho(lambda | X, Y) = rho(lambda) over the model-declared binning."""
+    _require_min_cell(min_cell)
     if not table.binned:
         return AssumptionCheck(
             "settings_independence", None, None, None,

@@ -76,6 +76,10 @@ class CampaignConfig:
     formats: tuple[str, ...] = ("json", "csv")
     label: str = ""
 
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"k must be a finite positive number, got {self.k!r}")
+
     def echo(self) -> dict:
         return {
             "scenario": {
@@ -238,7 +242,7 @@ def format_comparison(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_ANGLE_RE = re.compile(r"^(?P<sign>-)?(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<div>\d+))?$")
+_ANGLE_RE = re.compile(r"^(?P<sign>-)?(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<div>[1-9]\d*))?$")
 
 
 def parse_angle(token: str) -> float:
@@ -267,17 +271,21 @@ def parse_settings_spec(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]
     return alice, bob
 
 
+_CONFIG_KEYS = frozenset({
+    "scenario", "model", "trials", "alice_settings", "bob_settings",
+    "model_options", "seed", "k", "check_assumptions", "label",
+})
+
+
 def config_from_dict(data: dict) -> CampaignConfig:
     """Build a campaign from a plain config mapping (the --compare format)."""
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     kind = data["scenario"]
     trials = int(data.get("trials", 10_000))
     if "alice_settings" in data or "bob_settings" in data:
-        scenario = ScenarioSpec(
-            kind,
-            tuple(data["alice_settings"]),
-            tuple(data["bob_settings"]),
-            trials,
-        )
+        scenario = ScenarioSpec(kind, data["alice_settings"], data["bob_settings"], trials)
     else:
         scenario = default_scenario(kind, trials)
     model = data["model"]
@@ -285,12 +293,9 @@ def config_from_dict(data: dict) -> CampaignConfig:
     raw_options = data.get("model_options")
     if raw_options:
         if model == MODEL_TOY:
-            options = ToyOptions(
-                alice_angles=tuple(raw_options.get("alice_angles", (0.0, math.pi / 2))),
-                bob_angles=tuple(raw_options.get("bob_angles", (0.0, math.pi / 2))),
-            )
+            options = ToyOptions(**raw_options)
         elif model == MODEL_LHV:
-            options = LhvOptions(weights=tuple(raw_options["weights"]))
+            options = LhvOptions(**raw_options)
         else:
             raise ValueError(f"model {model!r} takes no options")
     return CampaignConfig(
@@ -304,8 +309,13 @@ def config_from_dict(data: dict) -> CampaignConfig:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other bad input
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ewfs",
         description="Simulate Bell and extended Wigner's-friend scenarios and "
         "analyse CHSH statistics and assumption compliance.",
@@ -364,8 +374,15 @@ def _compare_configs(args) -> list[CampaignConfig]:
         raise ValueError("--compare file must hold a JSON list of campaign objects")
     configs = [config_from_dict(d) for d in data]
     if args.out:
-        for config in configs:
-            config.out_dir = args.out / (config.label or config.model)
+        names = set()
+        for campaign, config in zip(data, configs):
+            name = config.label if "label" in campaign else config.model
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(f"label {name!r} is not a plain directory name")
+            if name in names:
+                raise ValueError(f"two campaigns would write to directory {name!r}")
+            names.add(name)
+            config.out_dir = args.out / name
     return configs
 
 
@@ -384,9 +401,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     except KeyError as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: missing config key {exc}\n")
-    except (ValueError, TypeError) as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+        parser.error(f"missing config key {exc}")
+    except (ValueError, TypeError, OverflowError) as exc:
+        parser.error(str(exc))
     ineq = result.inequality
     print(
         f"model={config.model} scenario={config.scenario.kind} "

@@ -25,8 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import qcore
-from .models import LAMBDA_BINNERS, LAMBDA_BINS, RunLog
-from .models import ewfs_outcome_tables, lhv_strategies
+from .models import LAMBDA_BINNERS, LAMBDA_BINS, RunLog, lhv_strategies
 from .scenario import BRUKNER_EWFS, ScenarioSpec
 
 CHSH_BOUND = 2.0
@@ -44,8 +43,7 @@ __all__ = [
     "InequalityReport",
     "tabulate",
     "expectations",
-    "chsh_value",
-    "chsh_variant_value",
+    "chsh_values",
     "chsh_max_variant",
     "deterministic_strategy_tables",
     "local_polytope_feasible",
@@ -63,6 +61,7 @@ class EmptyCell(ValueError):
 # Axis index of an outcome, looked up by its value: +1 -> 0, -1 -> 1 and
 # UNDEFINED (0) -> 2 (index -1 reads the last entry).
 _AXIS_INDEX = np.array([2, 0, 1], dtype=np.int16)
+_AB_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
 
 
 @dataclass
@@ -139,9 +138,8 @@ def tabulate(log: RunLog) -> CountTable:
 
 def expectations(table: CountTable) -> ExpectationMatrix:
     n = table.n()
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = np.einsum("xyab,ab->xy", table.behavior(), sign) / np.maximum(n, 1)
+        e = np.einsum("xyab,ab->xy", table.behavior(), _AB_SIGN) / np.maximum(n, 1)
         e = np.where(n > 0, e, np.nan)
         # SE of the mean of +/-1 products
         se = np.sqrt(np.clip(1.0 - e**2, 0.0, None) / np.maximum(n, 1))
@@ -149,46 +147,29 @@ def expectations(table: CountTable) -> ExpectationMatrix:
     return ExpectationMatrix(e, se, n.astype(np.int64))
 
 
-def _require_full(e: ExpectationMatrix) -> None:
+# The 8 CHSH facets as sign patterns over E(x, y): facet v has its minus sign
+# at flat position v % 4 and is negated for v >= 4, so facet 3 is the
+# canonical S = E11 + E12 + E21 - E22.
+_FACETS = np.concatenate([1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0]).reshape(8, 2, 2)
+_FACETS.setflags(write=False)
+
+
+def chsh_values(e: ExpectationMatrix) -> np.ndarray:
+    """Values of the 8 CHSH facets; the local bound is 2 for all of them."""
     if (e.n == 0).any():
         empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if e.n[x, y] == 0]
         raise EmptyCell(f"no trials for setting pairs {empty}")
-
-
-def chsh_value(e: ExpectationMatrix) -> tuple[float, float]:
-    """Canonical S = E11 + E12 + E21 - E22 and its quadrature standard error."""
-    _require_full(e)
-    s = e.values[0, 0] + e.values[0, 1] + e.values[1, 0] - e.values[1, 1]
-    return float(s), float(np.sqrt(np.sum(e.errors**2)))
-
-
-def _variant_signs(variant: int) -> np.ndarray:
-    """Sign pattern of CHSH variant 0..7: minus position variant % 4, global
-    sign flip for variant >= 4."""
-    signs = np.ones(4)
-    signs[variant % 4] = -1.0
-    if variant >= 4:
-        signs = -signs
-    return signs.reshape(2, 2)
-
-
-def chsh_variant_value(e: ExpectationMatrix, variant: int) -> tuple[float, float]:
-    _require_full(e)
-    signs = _variant_signs(variant)
-    return (
-        float(np.sum(signs * e.values)),
-        float(np.sqrt(np.sum(e.errors**2))),
-    )
+    return (_FACETS * e.values).sum(axis=(1, 2))
 
 
 def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
-    """Maximum over the 8 CHSH sign placements; the local bound is 2 for all."""
-    best, best_id = -np.inf, 0
-    for variant in range(8):
-        value, _ = chsh_variant_value(e, variant)
+    """Maximum over the 8 facets.  A later facet wins only by more than
+    1e-15, so near-ties go to the earliest facet."""
+    best, best_id = -math.inf, 0
+    for variant, value in enumerate(chsh_values(e).tolist()):
         if value > best + 1e-15:
             best, best_id = value, variant
-    return float(best), best_id
+    return best, best_id
 
 
 def deterministic_strategy_tables() -> np.ndarray:
@@ -280,23 +261,20 @@ def local_polytope_feasible(
 
 
 def analytic_expectations(state: qcore.StateVector, spec: ScenarioSpec) -> np.ndarray:
-    """Exact correlators E(x, y) from Born probabilities, no sampling."""
+    """Exact correlators E(x, y) of ``state`` from qcore Born probabilities,
+    no sampling: the reference for the models' fixed tables."""
     e = np.empty((2, 2))
-    if spec.kind == BRUKNER_EWFS:
-        tables = ewfs_outcome_tables(spec, state)
-        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        for (x, y), table in tables.items():
-            e[x - 1, y - 1] = float(np.sum(sign * table))
-        return e
-    for x, angle_a in enumerate(spec.alice_settings):
-        pa = qcore.spin_projectors(angle_a)
-        for y, angle_b in enumerate(spec.bob_settings):
-            pb = qcore.spin_projectors(angle_b)
-            joint = [
-                qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb
-            ]
-            probs = qcore.born_probabilities(state, joint).reshape(2, 2)
-            e[x, y] = float(probs[0, 0] - probs[0, 1] - probs[1, 0] + probs[1, 1])
+    lab_state = qcore.lab_pair_state(state) if spec.kind == BRUKNER_EWFS else None
+    for x, setting_a in enumerate(spec.alice_settings):
+        for y, setting_b in enumerate(spec.bob_settings):
+            if lab_state is not None:
+                probs = qcore.lab_joint_probabilities(lab_state, setting_a, setting_b)[:2, :2]
+            else:
+                pa = qcore.spin_projectors(setting_a)
+                pb = qcore.spin_projectors(setting_b)
+                joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
+                probs = qcore.born_probabilities(state, joint).reshape(2, 2)
+            e[x, y] = float(np.sum(_AB_SIGN * probs))
     return e
 
 
@@ -313,7 +291,7 @@ def analytic_quantum_S(
     n = np.full((2, 2), 10, dtype=np.int64)
     e = ExpectationMatrix(values, np.zeros((2, 2)), n)
     if variant == "canonical":
-        return chsh_value(e)[0]
+        return float(chsh_values(e)[3])
     if variant == "max":
         return chsh_max_variant(e)[0]
     raise ValueError(f"unknown variant {variant!r}")
@@ -430,7 +408,7 @@ class InequalityReport:
     bound: float
     k: float
     violated: bool
-    polytope: PolytopeVerdict | None = None
+    polytope: PolytopeVerdict
 
     def to_dict(self) -> dict:
         return {
@@ -442,13 +420,11 @@ class InequalityReport:
             "bound": self.bound,
             "k": self.k,
             "violated": bool(self.violated),
-            "certificate": None if self.polytope is None else self.polytope.to_dict(),
+            "certificate": self.polytope.to_dict(),
         }
 
 
-def evaluate(
-    table: CountTable, k: float = 3.0, check_polytope: bool = True
-) -> InequalityReport:
+def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     """CHSH statistics plus polytope membership of a count table.
 
     The membership tolerance widens with the sampling noise of the table
@@ -456,17 +432,10 @@ def evaluate(
     of local models are not flagged infeasible by fluctuation alone.
     """
     e = expectations(table)
-    s, se = chsh_value(e)
     s_max, variant = chsh_max_variant(e)
-    _, se_max = chsh_variant_value(e, variant)
-    violated = s_max > CHSH_BOUND + k * se_max
-    polytope = None
-    if check_polytope:
-        n_min = int(e.n.min())
-        stat_tol = LP_TOL + k * 0.5 / math.sqrt(max(n_min, 1))
-        polytope = local_polytope_feasible(
-            table, tol=stat_tol, signaling_tol=stat_tol
-        )
-    return InequalityReport(
-        s, se, s_max, variant, se_max, CHSH_BOUND, k, violated, polytope
-    )
+    s = float(chsh_values(e)[3])
+    se = float(np.sqrt(np.sum(e.errors**2)))
+    violated = s_max > CHSH_BOUND + k * se
+    stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(e.n.min()))  # every cell is full
+    polytope = local_polytope_feasible(table, tol=stat_tol, signaling_tol=stat_tol)
+    return InequalityReport(s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope)

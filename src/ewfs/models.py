@@ -25,6 +25,7 @@ Every trial's randomness comes from a fixed window of the keyed stream
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -175,35 +176,40 @@ def lhv_exact_expectations(weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared probability tables (computed exactly once per batch)
+# fixed Born tables
 
 
 def singlet_joint_probs(angle_a: float, angle_b: float) -> np.ndarray:
     """2x2 Born table over (A, B) outcomes of joint spin measurements on the
-    singlet at the given angles; index 0 -> +1, 1 -> -1."""
-    psi = qcore.singlet()
-    pa = qcore.spin_projectors(angle_a)
-    pb = qcore.spin_projectors(angle_b)
-    joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
-    return qcore.born_probabilities(psi, joint).reshape(2, 2)
+    singlet at the given angles, P(a, b) = (1 - ab cos(angle_a - angle_b)) / 4;
+    index 0 -> +1, 1 -> -1."""
+    c = math.cos(angle_a - angle_b)
+    return np.array([[1 - c, 1 + c], [1 + c, 1 - c]]) / 4
 
 
-def ewfs_outcome_tables(spec: ScenarioSpec, state: qcore.StateVector) -> dict:
+@functools.cache
+def _lab_pair_table(kind_a: str, kind_b: str) -> np.ndarray:
+    """Normalized (A, B) table of the entangled lab pair under the Z/X lab
+    measurements, derived through qcore once per process; read-only because
+    every caller shares it."""
+    lab_state = qcore.lab_pair_state(qcore.brukner_state())
+    probs = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
+    leak = probs[2, :].sum() + probs[:, 2].sum()
+    if leak > 1e-9:
+        raise qcore.ContractViolation("lab state leaked outside the pointer subspace")
+    table = probs[:2, :2] / probs[:2, :2].sum()
+    table.setflags(write=False)
+    return table
+
+
+def ewfs_outcome_tables(spec: ScenarioSpec) -> dict:
     """Joint (A, B) distribution per setting pair for purely unitary friend
-    measurements, from exact 16-dim Born probabilities."""
-    lab_state = qcore.lab_pair_state(state)
-    tables = {}
-    for x, kind_a in enumerate(spec.alice_settings, start=1):
-        for y, kind_b in enumerate(spec.bob_settings, start=1):
-            probs = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
-            leak = probs[2, :].sum() + probs[:, 2].sum()
-            if leak > 1e-9:
-                raise qcore.ContractViolation(
-                    "lab state leaked outside the pointer subspace"
-                )
-            table = probs[:2, :2]
-            tables[(x, y)] = table / table.sum()
-    return tables
+    measurements on ``qcore.brukner_state()``, from the cached lab-pair tables."""
+    return {
+        (x, y): _lab_pair_table(kind_a, kind_b)
+        for x, kind_a in enumerate(spec.alice_settings, start=1)
+        for y, kind_b in enumerate(spec.bob_settings, start=1)
+    }
 
 
 def _sample_discrete(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -231,37 +237,11 @@ def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
 def _batch_unitary_qm(spec, xs, ys, u, options=None) -> RunLog:
     if spec.kind != BRUKNER_EWFS:
         raise UnsupportedScenario("unitary-qm only models the EWFS arrangement")
-    tables = ewfs_outcome_tables(spec, qcore.brukner_state())
+    tables = ewfs_outcome_tables(spec)
     a, b = _joint_outcomes(tables, xs, ys, u[:, 0])
     c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
     d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
     return RunLog(spec.kind, MODEL_UNITARY_QM, xs, ys, a, b, c, d)
-
-
-def _collapse_bell_tables(spec) -> dict:
-    """Per (x, y): Alice's branch probability and Bob's conditional Born
-    probabilities on the collapsed state."""
-    psi = qcore.singlet()
-    eye = qcore.Projector(np.eye(2))
-    tables = {}
-    for x, angle_a in enumerate(spec.alice_settings, start=1):
-        proj_a = [
-            qcore.Projector(np.kron(p.matrix, eye.matrix))
-            for p in qcore.spin_projectors(angle_a)
-        ]
-        p_branch = qcore.born_probabilities(psi, proj_a)
-        branches = [
-            qcore.StateVector(p.matrix @ psi.amplitudes, psi.dims).normalize()
-            for p in proj_a
-        ]
-        for y, angle_b in enumerate(spec.bob_settings, start=1):
-            proj_b = [
-                qcore.Projector(np.kron(eye.matrix, p.matrix))
-                for p in qcore.spin_projectors(angle_b)
-            ]
-            cond = [qcore.born_probabilities(br, proj_b) for br in branches]
-            tables[(x, y)] = (p_branch[0], cond[0][0], cond[1][0])
-    return tables
 
 
 def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
@@ -277,16 +257,18 @@ def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
         b = np.where(ys == 1, d, coin_b).astype(np.int8)
         return RunLog(spec.kind, MODEL_COLLAPSE, xs, ys, a, b, c, d)
     # Standard Bell: Alice's spin measurement collapses nonlocally, Bob
-    # measures the collapsed branch.
-    tables = _collapse_bell_tables(spec)
+    # measures the collapsed branch: P(A=+) = 1/2 and
+    # P(B=+ | A=+/-) = (1 -/+ cos(angle_a - angle_b)) / 2.
     a = np.empty(n, dtype=np.int8)
     b = np.empty(n, dtype=np.int8)
-    for (x, y), (p_a_plus, p_b_plus_up, p_b_plus_dn) in tables.items():
-        mask = (xs == x) & (ys == y)
-        a_plus = u[mask, 0] < p_a_plus
-        p_b_plus = np.where(a_plus, p_b_plus_up, p_b_plus_dn)
-        a[mask] = np.where(a_plus, 1, -1)
-        b[mask] = np.where(u[mask, 1] < p_b_plus, 1, -1)
+    for x, angle_a in enumerate(spec.alice_settings, start=1):
+        for y, angle_b in enumerate(spec.bob_settings, start=1):
+            mask = (xs == x) & (ys == y)
+            cos = math.cos(angle_a - angle_b)
+            a_plus = u[mask, 0] < 0.5
+            p_b_plus = np.where(a_plus, (1 - cos) / 2, (1 + cos) / 2)
+            a[mask] = np.where(a_plus, 1, -1)
+            b[mask] = np.where(u[mask, 1] < p_b_plus, 1, -1)
     undef = np.full(n, UNDEFINED, dtype=np.int8)
     return RunLog(spec.kind, MODEL_COLLAPSE, xs, ys, a, b, undef, undef.copy())
 

@@ -89,7 +89,6 @@ def test_criterion_1_quantum_violation():
         assert abs(exact - TSIRELSON) < 1e-9
         report = evaluate(
             tabulate(run_trials(spec, MODEL_UNITARY_QM, seed=100)),
-            check_polytope=False,
         )
         assert report.violated
         assert abs(report.s_max - TSIRELSON) <= 3 * report.s_max_se
@@ -100,7 +99,6 @@ def test_criterion_2_model_separation_matrix():
         n = 1_000_000
         toy_bell = evaluate(
             tabulate(run_trials(default_scenario(STANDARD_BELL, n), MODEL_TOY, seed=101)),
-            check_polytope=False,
         )
         assert abs(toy_bell.s) < 0.01
         assert toy_bell.s_max <= CHSH_BOUND
@@ -111,7 +109,6 @@ def test_criterion_2_model_separation_matrix():
                 default_scenario(BRUKNER_EWFS, n), MODEL_TOY, seed=102,
                 options=TOY_OPTIMAL_CHSH,
             )),
-            check_polytope=False,
         )
         assert toy_ewfs.s_max >= 2.7
         assert toy_ewfs.violated
@@ -120,7 +117,6 @@ def test_criterion_2_model_separation_matrix():
             tabulate(
                 run_trials(default_scenario(STANDARD_BELL, n), MODEL_COLLAPSE, seed=103)
             ),
-            check_polytope=False,
         )
         assert collapse_bell.s_max >= 2.7
         assert collapse_bell.violated
@@ -129,7 +125,6 @@ def test_criterion_2_model_separation_matrix():
             tabulate(
                 run_trials(default_scenario(BRUKNER_EWFS, n), MODEL_COLLAPSE, seed=104)
             ),
-            check_polytope=False,
         )
         assert collapse_ewfs.s_max <= CHSH_BOUND + 3 * collapse_ewfs.s_max_se
         assert not collapse_ewfs.violated
@@ -178,7 +173,7 @@ def test_criterion_3_forward_direction():
         a2 = np.where((x == 2) & (y == 2), -c2, c2)
         table_c = tabulate(synthetic_log(x, y, a2, c2, c2, c2, model="synthetic"))
         rep_c = check_all(table_c)
-        assert evaluate(table_c, check_polytope=False).s_max > 3.9
+        assert evaluate(table_c).s_max > 3.9
         assert rep_c.passed("locality") is False
         assert rep_c.all_passed(["aoe_i", "aoe_ii", "aoe_iii", "nsd"])
 

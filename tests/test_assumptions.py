@@ -141,6 +141,23 @@ def test_small_cells_are_inconclusive():
     assert check_locality(tabulate(log)).passed is None
 
 
+@pytest.mark.parametrize("min_cell", [0, -1, math.nan])
+def test_min_cell_below_one_is_rejected(min_cell):
+    # With min_cell 0 the empty cells of setting pair (2, 2) in this 3-trial
+    # log would count as conclusive.
+    ones = [1, 1, 1]
+    log = synthetic_log(
+        x=[1, 1, 2], y=[1, 2, 1], a=ones, b=ones, c=ones, d=ones, model=MODEL_LHV,
+        lam={"strategy": np.array([0, 1, 2], dtype=np.int16)},
+    )
+    table = tabulate(log)
+    for check in (
+        check_all, check_aoe, check_nsd, check_locality, check_settings_independence
+    ):
+        with pytest.raises(ValueError, match="min_cell"):
+            check(table, min_cell=min_cell)
+
+
 def test_nsd_inconclusive_without_friend_outcomes():
     spec = default_scenario(STANDARD_BELL, 5_000)
     log = run_trials(spec, MODEL_COLLAPSE, seed=0)

@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ewfs import harness
 from ewfs.harness import (
@@ -25,6 +29,7 @@ from ewfs.harness import (
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
+    MODEL_NAMES,
     MODEL_TOY,
     LhvOptions,
     ToyOptions,
@@ -54,7 +59,7 @@ def test_parse_angle(token, expected):
     assert parse_angle(token) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("token", NON_FINITE + ("1e400", "NaN"))
+@pytest.mark.parametrize("token", NON_FINITE + ("1e400", "NaN", "pi/0", "-3pi/0"))
 def test_parse_angle_rejects_non_finite(token):
     with pytest.raises(ValueError):
         parse_angle(token)
@@ -78,12 +83,13 @@ def test_config_from_dict_builds_options():
             "scenario": "ewfs",
             "model": "toy-theta",
             "trials": 500,
-            "model_options": {"bob_angles": [0.0, 1.0]},
+            "model_options": {"bob_angles": [0.0, 1.0], "theta_after_minus": 1.5},
             "label": "t",
         }
     )
     assert isinstance(toy.model_options, ToyOptions)
     assert toy.model_options.bob_angles == (0.0, 1.0)
+    assert toy.model_options.theta_after_minus == 1.5
     lhv = config_from_dict(
         {
             "scenario": "bell",
@@ -205,6 +211,12 @@ def test_mismatched_options_are_rejected_before_any_output(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_k_must_be_finite_and_positive(k):
+    with pytest.raises(ValueError, match="k must be"):
+        CampaignConfig(default_scenario(BRUKNER_EWFS, 100), MODEL_LHV, k=k)
+
+
 def test_format_selection(tmp_path):
     config = CampaignConfig(
         scenario=default_scenario(BRUKNER_EWFS, 200),
@@ -273,12 +285,15 @@ def _usage_error(argv, capsys) -> str:
 
 
 def test_cli_usage_errors_exit_2(capsys):
-    _usage_error(["--scenario", "ewfs"], capsys)  # missing --model
-    _usage_error(["--scenario", "ewfs", "--model", "nope"], capsys)
-    # --settings is meaningless for a non-toy EWFS model
-    _usage_error(
-        ["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"], capsys
-    )
+    for argv in (
+        ["--scenario", "ewfs"],  # missing --model
+        ["--scenario", "ewfs", "--model", "nope"],
+        ["--trials", "many"],
+        ["--no-such-flag"],
+        # --settings is meaningless for a non-toy EWFS model
+        ["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"],
+    ):
+        assert _usage_error(argv, capsys).count("\n") == 1
 
 
 def test_cli_unsupported_pair_exits_2(capsys):
@@ -342,6 +357,87 @@ def test_cli_compare_non_finite_inputs_exit_2(tmp_path, capsys, bad):
         assert "finite" in _usage_error(["--compare", str(path)], capsys)
 
 
+@pytest.mark.parametrize("key", ["trials", "seed"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cli_compare_non_finite_integers_exit_2(tmp_path, capsys, key, bad):
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(
+        [{"scenario": "ewfs", "model": "lhv", key: bad}, {"scenario": "ewfs", "model": "lhv"}]
+    ))
+    assert "convert" in _usage_error(["--compare", str(path)], capsys)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0, -1])
+def test_cli_compare_bad_k_exits_2(tmp_path, capsys, k):
+    # A NaN k used to report unitary-qm at S_max 2.8 as "satisfied".
+    campaigns = [
+        {"scenario": "ewfs", "model": "unitary-qm", "trials": 2000, "k": k},
+        {"scenario": "ewfs", "model": "lhv", "trials": 2000},
+    ]
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(campaigns))
+    assert "k must be" in _usage_error(["--compare", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "campaign,key",
+    [
+        ({"scenario": "ewfs", "model": "lhv", "trails": 500}, "trails"),
+        (
+            {"scenario": "ewfs", "model": "toy-theta", "model_options": {"theta_after": 1}},
+            "theta_after",
+        ),
+        (
+            {"scenario": "ewfs", "model": "lhv", "model_options": {"weight": [1 / 16] * 16}},
+            "weight",
+        ),
+    ],
+)
+def test_cli_compare_unknown_keys_exit_2(tmp_path, capsys, campaign, key):
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([{"scenario": "ewfs", "model": "lhv"}, campaign]))
+    assert key in _usage_error(["--compare", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [None, None],  # two unlabelled lhv campaigns would share out/lhv
+        ["lhv", None],
+        ["same", "same"],
+        ["../escaped", "b"],
+        ["a/b", "c"],
+        ["a\\b", "c"],
+        ["", "c"],
+        [".", "c"],
+        ["..", "c"],
+    ],
+)
+def test_cli_compare_output_directories_are_checked_first(tmp_path, capsys, labels):
+    campaigns = [{"scenario": "ewfs", "model": "lhv", "trials": 500} for _ in labels]
+    for campaign, label in zip(campaigns, labels):
+        if label is not None:
+            campaign["label"] = label
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(campaigns))
+    out = tmp_path / "out" / "deep"
+    assert _usage_error(["--compare", str(path), "--out", str(out)], capsys).count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_compare_writes_one_directory_per_campaign(tmp_path, capsys):
+    campaigns = [
+        {"scenario": "ewfs", "model": "lhv", "trials": 500},
+        {"scenario": "ewfs", "model": "lhv", "trials": 500, "label": "again"},
+        {"scenario": "ewfs", "model": "collapse", "trials": 500},
+    ]
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(campaigns))
+    assert main(["--compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    written = sorted(p.parent.name for p in (tmp_path / "out").glob("*/report.json"))
+    assert written == ["again", "collapse", "lhv"]
+
+
 def test_cli_compare_unwritable_output_exits_3(tmp_path, capsys):
     campaigns = [
         {"scenario": "ewfs", "model": "lhv", "trials": 500},
@@ -367,6 +463,109 @@ def test_cli_compare(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "local" in out and "collapse" in out and "S_max" in out
+
+
+# --- CLI fuzzing -----------------------------------------------------------
+
+_ANGLE_TOKENS = ("0", "-0.3", "pi/4", "3pi/4", "-pi/2", "pi/0", "nan", "inf", "1e400", "x", "")
+_angle_lists = st.lists(st.sampled_from(_ANGLE_TOKENS), min_size=1, max_size=3).map(",".join)
+_settings_specs = st.one_of(
+    st.builds("{}:{}".format, _angle_lists, _angle_lists), st.text(max_size=8)
+)
+_SUPPORTED = [("ewfs", model) for model in MODEL_NAMES] + [
+    ("bell", model) for model in MODEL_NAMES if model != "unitary-qm"
+]
+# campaigns that should run, so that exits 0 and 3 are reached
+_valid_campaigns = st.sampled_from(_SUPPORTED).flatmap(
+    lambda pair: st.fixed_dictionaries(
+        {"scenario": st.just(pair[0]), "model": st.just(pair[1]),
+         "trials": st.sampled_from([400, 1_200])},
+        optional={
+            "seed": st.integers(-5, 5),
+            "k": st.floats(0.5, 6.0),
+            "label": st.text("ab.", min_size=1, max_size=3),
+            "check_assumptions": st.booleans(),
+        },
+    )
+)
+_json_values = st.one_of(
+    st.integers(-2, 1_500),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.5, 0, -1, "x", None]),
+)
+_json_angles = st.lists(
+    st.sampled_from(["Z", "X", 0.0, 1.0, -0.5, math.nan, math.inf, "pi", None]), max_size=3
+)
+_model_options = st.dictionaries(
+    st.sampled_from(
+        ["alice_angles", "bob_angles", "theta_after_plus", "theta_after_minus", "weights", "nope"]
+    ),
+    st.one_of(_json_angles, st.just([1 / 16] * 16), st.floats(), st.text(max_size=3)),
+    max_size=3,
+)
+_wild_campaigns = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from(["bell", "ewfs", "nope"]),
+        "model": st.sampled_from([*MODEL_NAMES, "nope"]),
+    },
+    optional={
+        "trials": _json_values,
+        "seed": _json_values,
+        "k": st.one_of(st.floats(), _json_values),
+        "label": st.one_of(
+            st.sampled_from(["", ".", "..", "a/b", "a\\b", "../up", "lhv"]), st.text(max_size=5)
+        ),
+        "alice_settings": _json_angles,
+        "bob_settings": _json_angles,
+        "model_options": st.one_of(st.none(), _model_options),
+        "trails": st.integers(),
+    },
+)
+_single_flags = st.fixed_dictionaries(
+    {
+        "--scenario": st.sampled_from(["ewfs", "bell", "ewfs", "bell", "nope", None]),
+        "--model": st.sampled_from([*MODEL_NAMES, *MODEL_NAMES, "nope", None]),
+        "--trials": st.sampled_from(["400", "1200", "400", "1200", "-1", "0", "3", "x"]),
+        "--seed": st.sampled_from([None, "-3", "0", "7"]),
+        "--settings": st.one_of(st.none(), st.none(), _settings_specs),
+        "--format": st.sampled_from([None, "json", "csv", "both", "xml"]),
+    }
+)
+
+
+@settings(max_examples=120)
+@given(
+    flags=_single_flags,
+    campaigns=st.one_of(
+        st.none(), st.lists(st.one_of(_valid_campaigns, _wild_campaigns), max_size=3)
+    ),
+    check=st.booleans(),
+    out=st.sampled_from([None, "dir", "blocked"]),
+)
+def test_cli_fuzz_ends_in_a_known_exit_code(tmp_path_factory, flags, campaigns, check, out):
+    """Every input ends in exit 0, 2 or 3 with at most one stderr line, no
+    traceback and no RuntimeWarning."""
+    root = tmp_path_factory.mktemp("fuzz")
+    argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    if check:
+        argv.append("--check-assumptions")
+    if campaigns is not None:
+        (root / "campaigns.json").write_text(json.dumps(campaigns))
+        argv.append(f"--compare={root / 'campaigns.json'}")
+    if out == "blocked":
+        (root / "file").write_text("x")
+    if out is not None:
+        argv.append(f"--out={root / ('file' if out == 'blocked' else 'out') / 'sub'}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_OUTPUT), (argv, campaigns, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, campaigns, err)
 
 
 # --- import graph ----------------------------------------------------------

@@ -13,8 +13,7 @@ from ewfs.inequality import (
     analytic_expectations,
     analytic_quantum_S,
     chsh_max_variant,
-    chsh_value,
-    chsh_variant_value,
+    chsh_values,
     deterministic_strategy_tables,
     evaluate,
     expectations,
@@ -114,7 +113,7 @@ def test_empty_cells_give_nan_and_chsh_raises():
     e = expectations(tabulate(log))
     assert np.isnan(e.values[1, 0]) and np.isnan(e.values[1, 1])
     with pytest.raises(EmptyCell):
-        chsh_value(e)
+        chsh_values(e)
 
 
 # --- CHSH facets -----------------------------------------------------------
@@ -123,25 +122,74 @@ def test_empty_cells_give_nan_and_chsh_raises():
 def test_canonical_is_variant_three():
     values = np.array([[0.3, -0.2], [0.7, 0.1]])
     e = ExpectationMatrix(values, np.zeros((2, 2)), np.full((2, 2), 100))
-    s, _ = chsh_value(e)
-    s3, _ = chsh_variant_value(e, 3)
-    assert s == pytest.approx(s3)
-    assert s == pytest.approx(0.3 - 0.2 + 0.7 - 0.1)
+    assert chsh_values(e)[3] == pytest.approx(0.3 - 0.2 + 0.7 - 0.1)
 
 
 def test_variants_cover_sign_flips():
     values = np.array([[0.5, 0.4], [-0.3, 0.9]])
     e = ExpectationMatrix(values, np.zeros((2, 2)), np.full((2, 2), 100))
-    seen = {round(chsh_variant_value(e, v)[0], 12) for v in range(8)}
+    facets = chsh_values(e)
+    seen = {round(float(v), 12) for v in facets}
     assert len(seen) == 8
     s_max, variant = chsh_max_variant(e)
     assert s_max == max(seen)
     assert 0 <= variant < 8
     # global-flip pairing
     for v in range(4):
-        assert chsh_variant_value(e, v)[0] == pytest.approx(
-            -chsh_variant_value(e, v + 4)[0]
-        )
+        assert facets[v] == pytest.approx(-facets[v + 4])
+
+
+def _reference_facets(values) -> list[float]:
+    """The per-variant loop the facet tensor replaced: variant v puts its
+    minus sign at flat position v % 4 and is negated for v >= 4."""
+    facets = []
+    for variant in range(8):
+        signs = np.ones(4)
+        signs[variant % 4] = -1.0
+        if variant >= 4:
+            signs = -signs
+        facets.append(float(np.sum(signs.reshape(2, 2) * values)))
+    return facets
+
+
+def _reference_max_variant(values) -> tuple[float, int]:
+    best, best_id = -np.inf, 0
+    for variant, value in enumerate(_reference_facets(values)):
+        if value > best + 1e-15:
+            best, best_id = value, variant
+    return float(best), best_id
+
+
+def _facet_test_matrices():
+    rng = np.random.default_rng(7)
+    yield from rng.uniform(-1.0, 1.0, (2_000, 2, 2))
+    # correlators of finite logs: ratios of small integers
+    yield from rng.integers(-40, 41, (2_000, 2, 2)) / rng.integers(1, 41, (2_000, 1, 1))
+    # exact ties: repeated entries make several facets equal
+    levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1 / 3, -1 / 3, 0.1])
+    ties = rng.choice(levels, (2_000, 2, 2))
+    yield from ties
+    yield from (np.zeros((2, 2)), np.full((2, 2), 0.5), np.full((2, 2), -1.0))
+    # near ties: one entry moved by at most 2e-15
+    nudges = rng.choice([-2e-15, -1e-15, -5e-16, 5e-16, 1e-15, 2e-15], 2_000)
+    ties[np.arange(2_000), rng.integers(0, 2, 2_000), rng.integers(0, 2, 2_000)] += nudges
+    yield from ties
+
+
+def test_facet_tensor_matches_the_per_variant_loop_bitwise():
+    n = np.full((2, 2), 10)
+    for values in _facet_test_matrices():
+        e = ExpectationMatrix(values, np.zeros((2, 2)), n)
+        facets = chsh_values(e)
+        expected = np.array(_reference_facets(values))
+        assert facets.tobytes() == expected.tobytes(), values
+        s_max, variant = chsh_max_variant(e)
+        ref_max, ref_variant = _reference_max_variant(values)
+        assert variant == ref_variant
+        assert np.float64(s_max).tobytes() == np.float64(ref_max).tobytes()
+        # the canonical S as the old code summed it, left to right
+        canonical = values[0, 0] + values[0, 1] + values[1, 0] - values[1, 1]
+        assert facets[3].tobytes() == canonical.tobytes()
 
 
 @given(weights=weight_vectors)

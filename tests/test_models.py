@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ewfs import inequality, qcore
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
+    DRAWS_PER_TRIAL,
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_NAMES,
@@ -23,7 +25,8 @@ from ewfs.models import (
     run_trials,
     singlet_joint_probs,
 )
-from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
+from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, ScenarioSpec, default_scenario
+from ewfs.streams import uniform_block
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -98,26 +101,88 @@ def test_toy_takes_two_angles_per_party():
 # --- probability tables ----------------------------------------------------
 
 
+def _qcore_singlet(angle_a, angle_b) -> np.ndarray:
+    """The singlet (A, B) table through qcore projectors: the reference for
+    the closed form."""
+    pa, pb = qcore.spin_projectors(angle_a), qcore.spin_projectors(angle_b)
+    joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
+    return qcore.born_probabilities(qcore.singlet(), joint).reshape(2, 2)
+
+
+def _qcore_collapse(angle_a, angle_b) -> tuple[float, float, float]:
+    """P(A=+), P(B=+ | A=+) and P(B=+ | A=-) of the collapse model's Bell
+    test, by projecting the singlet onto Alice's branches through qcore."""
+    psi, eye = qcore.singlet(), np.eye(2)
+    proj_a = [qcore.Projector(np.kron(p.matrix, eye)) for p in qcore.spin_projectors(angle_a)]
+    proj_b = [qcore.Projector(np.kron(eye, p.matrix)) for p in qcore.spin_projectors(angle_b)]
+    branches = [
+        qcore.StateVector(p.matrix @ psi.amplitudes, psi.dims).normalize() for p in proj_a
+    ]
+    p_a_plus = qcore.born_probabilities(psi, proj_a)[0]
+    return (p_a_plus, *(qcore.born_probabilities(br, proj_b)[0] for br in branches))
+
+
 @given(a=angles, b=angles)
 def test_singlet_table_closed_form(a, b):
-    # P(alpha, beta) = (1 - alpha*beta*cos(a - b)) / 4
-    table = singlet_joint_probs(a, b)
-    for ia, alpha in enumerate((1, -1)):
-        for ib, beta in enumerate((1, -1)):
-            expected = (1 - alpha * beta * math.cos(a - b)) / 4
-            assert abs(table[ia, ib] - expected) < 1e-9
+    assert np.abs(singlet_joint_probs(a, b) - _qcore_singlet(a, b)).max() <= 1e-15
+
+
+def test_closed_forms_match_qcore_on_an_angle_grid():
+    grid = np.linspace(-2 * math.pi, 2 * math.pi, 33)
+    for a in grid:
+        for b in grid:
+            assert np.abs(singlet_joint_probs(a, b) - _qcore_singlet(a, b)).max() <= 1e-15
+            cos = math.cos(a - b)  # the collapse model's Bell-test probabilities
+            closed = (0.5, (1 - cos) / 2, (1 + cos) / 2)
+            assert np.abs(np.subtract(closed, _qcore_collapse(a, b))).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "alice,bob",
+    [((0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)), ((-2.5, 0.3), (-math.pi, 1.7))],
+)
+def test_collapse_bell_rows_follow_the_qcore_tables(alice, bob):
+    spec = ScenarioSpec(STANDARD_BELL, alice, bob, 20_000)
+    log = run_trials(spec, MODEL_COLLAPSE, seed=3)
+    u = uniform_block(3, "model:collapse", 20_000, DRAWS_PER_TRIAL[MODEL_COLLAPSE])
+    probs = np.array([[_qcore_collapse(a, b) for b in bob] for a in alice])
+    p_a_plus, p_up, p_dn = probs[log.x - 1, log.y - 1].T
+    a_plus = u[:, 0] < p_a_plus
+    np.testing.assert_array_equal(log.a, np.where(a_plus, 1, -1))
+    np.testing.assert_array_equal(log.b, np.where(u[:, 1] < np.where(a_plus, p_up, p_dn), 1, -1))
 
 
 def test_ewfs_tables_are_distributions():
     from ewfs.qcore import brukner_state
 
     spec = default_scenario(BRUKNER_EWFS, 10)
-    tables = ewfs_outcome_tables(spec, brukner_state())
+    tables = ewfs_outcome_tables(spec)
+    exact = inequality.analytic_expectations(brukner_state(), spec)
     assert set(tables) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    for table in tables.values():
+    for (x, y), table in tables.items():
         assert table.shape == (2, 2)
         assert table.min() >= 0
         assert abs(table.sum() - 1.0) < 1e-12
+        correlator = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
+        assert abs(correlator - exact[x - 1, y - 1]) <= 1e-15
+
+
+def test_ewfs_tables_are_derived_once_and_read_only(monkeypatch):
+    spec = default_scenario(BRUKNER_EWFS, 2_000)
+    run_campaign(CampaignConfig(scenario=spec, model=MODEL_UNITARY_QM, seed=1))
+    calls = []
+    born = qcore.born_probabilities
+    monkeypatch.setattr(
+        qcore, "born_probabilities", lambda *args: calls.append(args) or born(*args)
+    )
+    run_campaign(CampaignConfig(scenario=spec, model=MODEL_UNITARY_QM, seed=2))
+    assert calls == []
+    # the counter sees a direct qcore derivation
+    inequality.analytic_expectations(qcore.brukner_state(), spec)
+    assert calls
+    for table in ewfs_outcome_tables(spec).values():
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
 
 
 # --- block invariance -----------------------------------------------------
