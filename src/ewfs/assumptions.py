@@ -13,7 +13,7 @@ Every check reads the count table N(x, y, a, b, c, d, lambda-bin) that
   conditioned on both friend outcomes and its own setting, ignores the
   distant setting.
 * settings independence -- the hidden-state distribution (the lambda bins
-  declared in ``models.LAMBDA_BINNERS``) is independent of the settings.
+  of the model's binner in ``models.MODELS``) is independent of the settings.
 
 Distribution comparisons use total-variation distance with a threshold of
 k binomial standard errors; conditioning cells under ``min_cell`` trials are
@@ -92,7 +92,8 @@ def _familywise_k(k: float, comparisons: int) -> float:
     if comparisons <= 1:
         return k
     alpha = math.erfc(k / math.sqrt(2.0))  # two-sided tail beyond k sigma
-    per_cell = 1.0 - (1.0 - alpha) ** (1.0 / comparisons)
+    # 1 - (1 - alpha)^(1/comparisons), without rounding a tiny alpha to 0
+    per_cell = -math.expm1(math.log1p(-alpha) / comparisons)
     return -NormalDist().inv_cdf(per_cell / 2.0)
 
 

@@ -27,9 +27,9 @@ import numpy as np
 from . import assumptions as assumptions_mod
 from . import inequality
 from .models import (
-    MODEL_LHV,
     MODEL_NAMES,
     MODEL_TOY,
+    MODELS,
     LhvOptions,
     RunLog,
     ToyOptions,
@@ -277,35 +277,42 @@ _CONFIG_KEYS = frozenset({
 })
 
 
+def _typed(data: dict, key: str, default, *types: type):
+    """``data[key]`` (or ``default``) if it has one of ``types``; a bool,
+    which Python counts as an int, passes only where bool is named."""
+    value = data.get(key, default)
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{key} must be {names}; cannot convert {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> CampaignConfig:
-    """Build a campaign from a plain config mapping (the --compare format)."""
+    """Build a campaign from a plain config mapping: a --compare entry, or
+    the single-campaign flags turned into the same keys."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    kind = data["scenario"]
-    trials = int(data.get("trials", 10_000))
+    kind, model = data["scenario"], data["model"]
+    trials = _typed(data, "trials", 10_000, int)
     if "alice_settings" in data or "bob_settings" in data:
         scenario = ScenarioSpec(kind, data["alice_settings"], data["bob_settings"], trials)
     else:
         scenario = default_scenario(kind, trials)
-    model = data["model"]
-    options = None
-    raw_options = data.get("model_options")
-    if raw_options:
-        if model == MODEL_TOY:
-            options = ToyOptions(**raw_options)
-        elif model == MODEL_LHV:
-            options = LhvOptions(**raw_options)
-        else:
-            raise ValueError(f"model {model!r} takes no options")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    options_class, raw_options = MODELS[model].options, data.get("model_options")
+    if raw_options and options_class is None:
+        raise ValueError(f"model {model!r} takes no options")
+    options = options_class(**raw_options) if raw_options else None
     return CampaignConfig(
         scenario=scenario,
         model=model,
-        seed=int(data.get("seed", 0)),
-        k=float(data.get("k", 3.0)),
-        check_assumptions=bool(data.get("check_assumptions", True)),
+        seed=_typed(data, "seed", 0, int),
+        k=float(_typed(data, "k", 3.0, int, float)),
+        check_assumptions=_typed(data, "check_assumptions", True, bool),
         model_options=options,
-        label=str(data.get("label", "")),
+        label=_typed(data, "label", "", str),
     )
 
 
@@ -337,32 +344,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _single_config(args) -> CampaignConfig:
+    """The single-campaign flags as a config mapping, through the same
+    ``config_from_dict`` as a --compare entry."""
     if args.scenario is None or args.model is None:
         raise ValueError("--scenario and --model are required (or use --compare)")
-    options = None
+    keys = ("scenario", "model", "trials", "seed", "check_assumptions")
+    data = {key: getattr(args, key) for key in keys}
     if args.settings:
         alice, bob = parse_settings_spec(args.settings)
         if args.scenario == STANDARD_BELL:
-            scenario = ScenarioSpec(args.scenario, alice, bob, args.trials)
+            data.update(alice_settings=alice, bob_settings=bob)
         elif args.model == MODEL_TOY:
-            scenario = default_scenario(args.scenario, args.trials)
-            options = ToyOptions(alice_angles=alice, bob_angles=bob)
+            data["model_options"] = {"alice_angles": alice, "bob_angles": bob}
         else:
             raise ValueError(
                 "--settings applies to bell scenarios or the toy-theta model"
             )
-    else:
-        scenario = default_scenario(args.scenario, args.trials)
-    formats = ("json", "csv") if args.format == "both" else (args.format,)
-    return CampaignConfig(
-        scenario=scenario,
-        model=args.model,
-        seed=args.seed,
-        check_assumptions=args.check_assumptions,
-        model_options=options,
-        out_dir=args.out,
-        formats=formats,
-    )
+    config = config_from_dict(data)
+    config.out_dir = args.out
+    config.formats = ("json", "csv") if args.format == "both" else (args.format,)
+    return config
 
 
 def _compare_configs(args) -> list[CampaignConfig]:

@@ -22,15 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from . import qcore
-from .models import LAMBDA_BINNERS, LAMBDA_BINS, RunLog, lhv_strategies
-from .scenario import BRUKNER_EWFS, ScenarioSpec
+from .models import LAMBDA_BINS, MODELS, RunLog, lhv_strategies
 
 CHSH_BOUND = 2.0
 LP_TOL = 1e-7
-SIGNALING_TOL = 1e-6
 
 __all__ = [
     "CHSH_BOUND",
@@ -47,8 +43,6 @@ __all__ = [
     "chsh_max_variant",
     "deterministic_strategy_tables",
     "local_polytope_feasible",
-    "analytic_expectations",
-    "analytic_quantum_S",
     "verify_derivation_chain",
     "evaluate",
 ]
@@ -117,7 +111,7 @@ def tabulate(log: RunLog) -> CountTable:
     for setting in (log.x, log.y):
         if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
-    binner = LAMBDA_BINNERS.get(log.model)
+    binner = MODELS[log.model].binner if log.model in MODELS else None
     key = (log.x - 1).astype(np.int16)
     key *= 2
     key += log.y - 1
@@ -210,14 +204,21 @@ class PolytopeVerdict:
         }
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: importing
+    scipy.optimize takes longer than importing the rest of the package."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def local_polytope_feasible(
-    table: CountTable | np.ndarray,
-    tol: float = LP_TOL,
-    signaling_tol: float = SIGNALING_TOL,
+    table: CountTable | np.ndarray, tol: float = LP_TOL
 ) -> PolytopeVerdict:
     """Can a probability mixture of the 16 deterministic strategies reproduce
     P(a, b | x, y) within ``tol``?  Feasibility certifies the existence of a
     joint distribution over (A1, A2, B1, B2) with the observed marginals.
+    A table that signals by more than ``tol`` is rejected before the LP.
 
     Solves min t  s.t.  |V w - p| <= t elementwise, w >= 0, sum w = 1,
     where V stacks the 16 vertex behaviors.
@@ -225,7 +226,7 @@ def local_polytope_feasible(
     probs = table.probs() if isinstance(table, CountTable) else np.asarray(table)
     if np.isnan(probs).any():
         raise EmptyCell("behavior table has empty setting-pair cells")
-    if signaling_measure(probs) > signaling_tol:
+    if signaling_measure(probs) > tol:
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
     vertices = deterministic_strategy_tables().reshape(16, -1).T  # (16 cells, 16)
     p = probs.reshape(-1)
@@ -254,47 +255,6 @@ def local_polytope_feasible(
         tol,
         cause=None if member else "chsh",
     )
-
-
-# ---------------------------------------------------------------------------
-# exact quantum predictions
-
-
-def analytic_expectations(state: qcore.StateVector, spec: ScenarioSpec) -> np.ndarray:
-    """Exact correlators E(x, y) of ``state`` from qcore Born probabilities,
-    no sampling: the reference for the models' fixed tables."""
-    e = np.empty((2, 2))
-    lab_state = qcore.lab_pair_state(state) if spec.kind == BRUKNER_EWFS else None
-    for x, setting_a in enumerate(spec.alice_settings):
-        for y, setting_b in enumerate(spec.bob_settings):
-            if lab_state is not None:
-                probs = qcore.lab_joint_probabilities(lab_state, setting_a, setting_b)[:2, :2]
-            else:
-                pa = qcore.spin_projectors(setting_a)
-                pb = qcore.spin_projectors(setting_b)
-                joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
-                probs = qcore.born_probabilities(state, joint).reshape(2, 2)
-            e[x, y] = float(np.sum(_AB_SIGN * probs))
-    return e
-
-
-def analytic_quantum_S(
-    state: qcore.StateVector, spec: ScenarioSpec, variant: str = "max"
-) -> float:
-    """Exact CHSH value of quantum predictions for the given scenario.
-
-    ``variant="canonical"`` evaluates E11 + E12 + E21 - E22 as written;
-    ``variant="max"`` maximizes over all 8 facet sign placements, which is
-    the relevant quantity for polytope membership.
-    """
-    values = analytic_expectations(state, spec)
-    n = np.full((2, 2), 10, dtype=np.int64)
-    e = ExpectationMatrix(values, np.zeros((2, 2)), n)
-    if variant == "canonical":
-        return float(chsh_values(e)[3])
-    if variant == "max":
-        return chsh_max_variant(e)[0]
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,5 +397,5 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     se = float(np.sqrt(np.sum(e.errors**2)))
     violated = s_max > CHSH_BOUND + k * se
     stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(e.n.min()))  # every cell is full
-    polytope = local_polytope_feasible(table, tol=stat_tol, signaling_tol=stat_tol)
+    polytope = local_polytope_feasible(table, tol=stat_tol)
     return InequalityReport(s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ import numpy as np
 from . import qcore
 from .scenario import (
     BRUKNER_EWFS,
+    STANDARD_BELL,
     ScenarioSpec,
     sample_settings_block,
 )
@@ -44,20 +46,12 @@ MODEL_COLLAPSE = "collapse"
 MODEL_TOY = "toy-theta"
 MODEL_LHV = "lhv"
 
-MODEL_NAMES = (MODEL_UNITARY_QM, MODEL_COLLAPSE, MODEL_TOY, MODEL_LHV)
-
-# Doubles consumed per trial, fixed per model so trial windows never shift.
-DRAWS_PER_TRIAL = {
-    MODEL_UNITARY_QM: 1,
-    MODEL_COLLAPSE: 3,
-    MODEL_TOY: 5,
-    MODEL_LHV: 1,
-}
-
 UNDEFINED = 0  # sentinel for C/D in array form
 
 __all__ = [
+    "MODELS",
     "MODEL_NAMES",
+    "Model",
     "MODEL_UNITARY_QM",
     "MODEL_COLLAPSE",
     "MODEL_TOY",
@@ -74,7 +68,6 @@ __all__ = [
     "singlet_joint_probs",
     "ewfs_outcome_tables",
     "LAMBDA_BINS",
-    "LAMBDA_BINNERS",
     "toy_theta_bins",
     "lhv_strategy_bins",
 ]
@@ -231,21 +224,19 @@ def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# batch implementations (trial i is a pure function of row u[i])
+# batch samplers: (spec, xs, ys, u, options) -> (a, b, c, d, lam), where trial
+# i is a pure function of row u[i] and c/d are None when the model assigns
+# no friend outcome
 
 
-def _batch_unitary_qm(spec, xs, ys, u, options=None) -> RunLog:
-    if spec.kind != BRUKNER_EWFS:
-        raise UnsupportedScenario("unitary-qm only models the EWFS arrangement")
-    tables = ewfs_outcome_tables(spec)
-    a, b = _joint_outcomes(tables, xs, ys, u[:, 0])
+def _sample_unitary_qm(spec, xs, ys, u, options):
+    a, b = _joint_outcomes(ewfs_outcome_tables(spec), xs, ys, u[:, 0])
     c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
     d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
-    return RunLog(spec.kind, MODEL_UNITARY_QM, xs, ys, a, b, c, d)
+    return a, b, c, d, {}
 
 
-def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
-    n = xs.size
+def _sample_collapse(spec, xs, ys, u, options):
     if spec.kind == BRUKNER_EWFS:
         # Friends' z measurements collapse the singlet: C is a Born coin,
         # D is fixed by the perfect anticorrelation of the collapsed state.
@@ -255,12 +246,12 @@ def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
         coin_b = np.where(u[:, 2] < 0.5, 1, -1).astype(np.int8)
         a = np.where(xs == 1, c, coin_a).astype(np.int8)
         b = np.where(ys == 1, d, coin_b).astype(np.int8)
-        return RunLog(spec.kind, MODEL_COLLAPSE, xs, ys, a, b, c, d)
+        return a, b, c, d, {}
     # Standard Bell: Alice's spin measurement collapses nonlocally, Bob
     # measures the collapsed branch: P(A=+) = 1/2 and
     # P(B=+ | A=+/-) = (1 -/+ cos(angle_a - angle_b)) / 2.
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
+    a = np.empty(xs.size, dtype=np.int8)
+    b = np.empty(xs.size, dtype=np.int8)
     for x, angle_a in enumerate(spec.alice_settings, start=1):
         for y, angle_b in enumerate(spec.bob_settings, start=1):
             mask = (xs == x) & (ys == y)
@@ -269,13 +260,10 @@ def _batch_collapse(spec, xs, ys, u, options=None) -> RunLog:
             p_b_plus = np.where(a_plus, (1 - cos) / 2, (1 + cos) / 2)
             a[mask] = np.where(a_plus, 1, -1)
             b[mask] = np.where(u[mask, 1] < p_b_plus, 1, -1)
-    undef = np.full(n, UNDEFINED, dtype=np.int8)
-    return RunLog(spec.kind, MODEL_COLLAPSE, xs, ys, a, b, undef, undef.copy())
+    return a, b, None, None, {}
 
 
-def _batch_toy(spec, xs, ys, u, options=None) -> RunLog:
-    opts = options or ToyOptions()
-    n = xs.size
+def _sample_toy(spec, xs, ys, u, opts):
     theta1 = u[:, 0] * math.pi
     theta2 = u[:, 1] * math.pi
     out1 = np.where(u[:, 2] < np.cos(theta1) ** 2, 1, -1).astype(np.int8)
@@ -298,37 +286,23 @@ def _batch_toy(spec, xs, ys, u, options=None) -> RunLog:
             for y in (1, 2)
         }
         a, b = _joint_outcomes(tables, xs, ys, u[:, 4])
-        return RunLog(spec.kind, MODEL_TOY, xs, ys, a, b, out1, out2, lam)
+        return a, b, out1, out2, lam
     # Standard Bell: the parties measure the particles directly, so outcomes
     # are governed by the hidden angles alone, ignoring measurement angles.
-    undef = np.full(n, UNDEFINED, dtype=np.int8)
-    return RunLog(spec.kind, MODEL_TOY, xs, ys, out1, out2, undef, undef.copy(), lam)
+    return out1, out2, None, None, lam
 
 
-def _batch_lhv(spec, xs, ys, u, options=None) -> RunLog:
-    opts = options or LhvOptions()
+def _sample_lhv(spec, xs, ys, u, opts):
     strat = lhv_strategies()
     idx = _sample_discrete(np.cumsum(np.asarray(opts.weights)), u[:, 0])
     a = strat[idx, xs - 1]
     b = strat[idx, 2 + (ys - 1)]
+    lam = {"strategy": idx.astype(np.int16)}
     if spec.kind == BRUKNER_EWFS:
         # Friends report the setting-1 values of the strategy table, so
         # superobserver/friend consistency holds by construction.
-        c = strat[idx, 0]
-        d = strat[idx, 2]
-    else:
-        c = np.full(xs.size, UNDEFINED, dtype=np.int8)
-        d = c.copy()
-    lam = {"strategy": idx.astype(np.int16)}
-    return RunLog(spec.kind, MODEL_LHV, xs, ys, a, b, c, d, lam)
-
-
-_BATCH = {
-    MODEL_UNITARY_QM: _batch_unitary_qm,
-    MODEL_COLLAPSE: _batch_collapse,
-    MODEL_TOY: _batch_toy,
-    MODEL_LHV: _batch_lhv,
-}
+        return a, b, strat[idx, 0], strat[idx, 2], lam
+    return a, b, None, None, lam
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +323,29 @@ def lhv_strategy_bins(log: RunLog) -> np.ndarray:
     return log.lam["strategy"].astype(np.int64)
 
 
-LAMBDA_BINNERS = {
-    MODEL_TOY: toy_theta_bins,
-    MODEL_LHV: lhv_strategy_bins,
+# ---------------------------------------------------------------------------
+# the model table and campaign execution
+
+
+@dataclass(frozen=True)
+class Model:
+    """Everything that tells one model apart from the others."""
+
+    draws: int  # doubles per trial, fixed so trial windows never shift
+    sample: Callable  # the batch sampler
+    options: type | None = None  # the options class it takes, if any
+    binner: Callable[[RunLog], np.ndarray] | None = None  # its lambda bins
+    kinds: tuple[str, ...] = (STANDARD_BELL, BRUKNER_EWFS)  # scenarios it runs
+
+
+MODELS = {
+    MODEL_UNITARY_QM: Model(1, _sample_unitary_qm, kinds=(BRUKNER_EWFS,)),
+    MODEL_COLLAPSE: Model(3, _sample_collapse),
+    MODEL_TOY: Model(5, _sample_toy, ToyOptions, toy_theta_bins),
+    MODEL_LHV: Model(1, _sample_lhv, LhvOptions, lhv_strategy_bins),
 }
 
-
-# ---------------------------------------------------------------------------
-# campaign execution
-
-# The options class each model accepts; the other models take None.
-_OPTIONS = {MODEL_TOY: ToyOptions, MODEL_LHV: LhvOptions}
+MODEL_NAMES = tuple(MODELS)
 
 
 def run_trials(
@@ -371,18 +357,23 @@ def run_trials(
     n_trials: int | None = None,
 ) -> RunLog:
     """Run a contiguous block of trials; row i depends only on (seed, i)."""
-    if model not in _BATCH:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    expected = _OPTIONS.get(model)
+    entry = MODELS[model]
+    if spec.kind not in entry.kinds:
+        kinds = " and ".join(kind.upper() for kind in entry.kinds)
+        raise UnsupportedScenario(f"{model} only models the {kinds} arrangement")
+    expected = entry.options
     if options is not None and not (expected and isinstance(options, expected)):
         takes = f"{expected.__name__} or None" if expected else "no options"
         raise ValueError(f"model {model!r} takes {takes}")
-    if n_trials is None:
-        n_trials = spec.trials - first_trial
+    if options is None and expected is not None:
+        options = expected()
+    n_trials = spec.trials - first_trial if n_trials is None else n_trials
     xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
-    u = uniform_block(
-        seed, f"model:{model}", n_trials, DRAWS_PER_TRIAL[model], first_trial
-    )
-    log = _BATCH[model](spec, xs.astype(np.int8), ys.astype(np.int8), u, options)
-    log.first_trial = first_trial
-    return log
+    xs, ys = xs.astype(np.int8), ys.astype(np.int8)
+    u = uniform_block(seed, f"model:{model}", n_trials, entry.draws, first_trial)
+    a, b, c, d, lam = entry.sample(spec, xs, ys, u, options)
+    if c is None:  # the model assigns no friend outcomes
+        c, d = (np.full(n_trials, UNDEFINED, dtype=np.int8) for _ in "cd")
+    return RunLog(spec.kind, model, xs, ys, a, b, c, d, lam, first_trial)

@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_log
+from conftest import analytic_quantum_S, synthetic_log
 from ewfs import inequality
 from ewfs.assumptions import check_all
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.inequality import (
     CHSH_BOUND,
-    analytic_quantum_S,
     chsh_max_variant,
     evaluate,
     local_polytope_feasible,

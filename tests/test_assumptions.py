@@ -174,6 +174,16 @@ def test_familywise_threshold_grows_with_comparisons():
     assert k16 < 5.0
 
 
+@pytest.mark.parametrize("comparisons", [2, 16, 64])
+def test_familywise_threshold_is_finite_and_increasing_in_k(comparisons):
+    # 1 - erfc(k / sqrt 2) rounds to 1 from k ~ 8.3 on; the per-cell level
+    # must stay positive there.
+    thresholds = [_familywise_k(float(k), comparisons) for k in range(3, 13)]
+    assert all(map(math.isfinite, thresholds))
+    assert all(t > k for t, k in zip(thresholds, range(3, 13)))
+    assert all(lo < hi for lo, hi in zip(thresholds, thresholds[1:]))
+
+
 def test_locality_passes_for_honest_toy_model_across_seeds():
     spec = default_scenario(BRUKNER_EWFS, 50_000)
     for seed in range(4):

@@ -25,11 +25,11 @@ from ewfs.assumptions import (
 )
 from ewfs.inequality import EmptyCell, tabulate, verify_derivation_chain
 from ewfs.models import (
-    LAMBDA_BINNERS,
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_NAMES,
     MODEL_TOY,
+    MODELS,
     UNDEFINED,
     UnsupportedScenario,
     run_trials,
@@ -172,7 +172,7 @@ def _ref_locality(log, k=3.0, min_cell=MIN_CELL):
 
 
 def _ref_settings_independence(log, k=3.0, min_cell=MIN_CELL):
-    binner = LAMBDA_BINNERS.get(log.model)
+    binner = MODELS[log.model].binner if log.model in MODELS else None
     if binner is None:
         return AssumptionCheck(
             "settings_independence", None, None, None,

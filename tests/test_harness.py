@@ -263,6 +263,32 @@ def test_cli_basic_run(tmp_path, capsys):
     assert (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,campaign",
+    [
+        (
+            ["--scenario", "bell", "--model", "collapse", "--settings", "0,pi/2:pi/4,-1"],
+            {"scenario": "bell", "model": "collapse",
+             "alice_settings": [0.0, math.pi / 2], "bob_settings": [math.pi / 4, -1.0]},
+        ),
+        (
+            ["--scenario", "ewfs", "--model", "toy-theta", "--settings", "0,1:2,3"],
+            {"scenario": "ewfs", "model": "toy-theta",
+             "model_options": {"alice_angles": [0.0, 1.0], "bob_angles": [2.0, 3.0]}},
+        ),
+        (["--scenario", "ewfs", "--model", "lhv"], {"scenario": "ewfs", "model": "lhv"}),
+    ],
+)
+def test_cli_flags_build_the_config_of_the_same_compare_entry(argv, campaign, tmp_path):
+    argv = argv + ["--trials", "700", "--seed", "4", "--out", str(tmp_path)]
+    config = harness._single_config(harness._build_parser().parse_args(argv))
+    expected = config_from_dict(
+        {**campaign, "trials": 700, "seed": 4, "check_assumptions": False}
+    )
+    expected.out_dir = tmp_path
+    assert config == expected
+
+
 def test_cli_settings_flag_for_bell(tmp_path, capsys):
     code = main(
         [
@@ -365,6 +391,42 @@ def test_cli_compare_non_finite_integers_exit_2(tmp_path, capsys, key, bad):
         [{"scenario": "ewfs", "model": "lhv", key: bad}, {"scenario": "ewfs", "model": "lhv"}]
     ))
     assert "convert" in _usage_error(["--compare", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("trials", 1500.7),
+        ("trials", True),
+        ("trials", "1500"),
+        ("seed", 2.9),
+        ("seed", False),
+        ("k", True),
+        ("k", "3"),
+        ("check_assumptions", "false"),
+        ("check_assumptions", 0),
+        ("label", 5),
+    ],
+)
+def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
+    # These used to be coerced: 1500.7 trials ran 1,500 and "false" turned
+    # the assumption checks on.
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(
+        [{"scenario": "ewfs", "model": "lhv", key: bad}, {"scenario": "ewfs", "model": "lhv"}]
+    ))
+    err = _usage_error(["--compare", str(path)], capsys)
+    assert err.count("\n") == 1 and key in err
+
+
+def test_cli_compare_large_k_exits_0(tmp_path, capsys):
+    campaigns = [
+        {"scenario": "ewfs", "model": "lhv", "trials": 2000, "k": 10},
+        {"scenario": "ewfs", "model": "unitary-qm", "trials": 2000, "k": 10},
+    ]
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps(campaigns))
+    assert main(["--compare", str(path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, 0, -1])
@@ -581,11 +643,14 @@ def _python(*args):
 
 
 def test_harness_import_leaves_scipy_stats_out():
+    # scipy.optimize is imported by the first LP, not by the import
     done = _python(
-        "-c", "import sys, ewfs.harness; print('scipy.stats' in sys.modules)"
+        "-c",
+        "import sys, ewfs.harness; "
+        "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import synthetic_log
+from conftest import analytic_expectations, analytic_quantum_S, synthetic_log
 from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
     EmptyCell,
     ExpectationMatrix,
-    analytic_expectations,
-    analytic_quantum_S,
     chsh_max_variant,
     chsh_values,
     deterministic_strategy_tables,

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import analytic_expectations
 from ewfs import inequality, qcore
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
-    DRAWS_PER_TRIAL,
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_NAMES,
     MODEL_TOY,
     MODEL_UNITARY_QM,
+    MODELS,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
     ToyOptions,
@@ -144,7 +145,7 @@ def test_closed_forms_match_qcore_on_an_angle_grid():
 def test_collapse_bell_rows_follow_the_qcore_tables(alice, bob):
     spec = ScenarioSpec(STANDARD_BELL, alice, bob, 20_000)
     log = run_trials(spec, MODEL_COLLAPSE, seed=3)
-    u = uniform_block(3, "model:collapse", 20_000, DRAWS_PER_TRIAL[MODEL_COLLAPSE])
+    u = uniform_block(3, "model:collapse", 20_000, MODELS[MODEL_COLLAPSE].draws)
     probs = np.array([[_qcore_collapse(a, b) for b in bob] for a in alice])
     p_a_plus, p_up, p_dn = probs[log.x - 1, log.y - 1].T
     a_plus = u[:, 0] < p_a_plus
@@ -157,7 +158,7 @@ def test_ewfs_tables_are_distributions():
 
     spec = default_scenario(BRUKNER_EWFS, 10)
     tables = ewfs_outcome_tables(spec)
-    exact = inequality.analytic_expectations(brukner_state(), spec)
+    exact = analytic_expectations(brukner_state(), spec)
     assert set(tables) == {(1, 1), (1, 2), (2, 1), (2, 2)}
     for (x, y), table in tables.items():
         assert table.shape == (2, 2)
@@ -178,7 +179,7 @@ def test_ewfs_tables_are_derived_once_and_read_only(monkeypatch):
     run_campaign(CampaignConfig(scenario=spec, model=MODEL_UNITARY_QM, seed=2))
     assert calls == []
     # the counter sees a direct qcore derivation
-    inequality.analytic_expectations(qcore.brukner_state(), spec)
+    analytic_expectations(qcore.brukner_state(), spec)
     assert calls
     for table in ewfs_outcome_tables(spec).values():
         with pytest.raises(ValueError, match="read-only"):
@@ -228,6 +229,19 @@ def test_unsupported_combinations_raise():
         run_trials(default_scenario(STANDARD_BELL, 10), MODEL_UNITARY_QM, seed=0)
     with pytest.raises(ValueError):
         run_trials(default_scenario(STANDARD_BELL, 10), "nonsense", seed=0)
+
+
+def test_the_model_table_declares_scenarios_and_default_options():
+    assert MODEL_NAMES == tuple(MODELS)
+    assert MODELS[MODEL_UNITARY_QM].kinds == (BRUKNER_EWFS,)
+    with pytest.raises(UnsupportedScenario, match="^unitary-qm only models the EWFS arrangement$"):
+        run_trials(default_scenario(STANDARD_BELL, 10), MODEL_UNITARY_QM, seed=0)
+    spec = default_scenario(BRUKNER_EWFS, 300)
+    for model in (MODEL_TOY, MODEL_LHV):
+        default = run_trials(spec, model, seed=2)
+        explicit = run_trials(spec, model, seed=2, options=MODELS[model].options())
+        for got, want in zip(_columns(default), _columns(explicit)):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +297,7 @@ def test_unitary_model_matches_exact_born_tables():
     spec = default_scenario(BRUKNER_EWFS, 200_000)
     log = run_trials(spec, MODEL_UNITARY_QM, seed=6)
     e = inequality.expectations(inequality.tabulate(log))
-    exact = inequality.analytic_expectations(brukner_state(), spec)
+    exact = analytic_expectations(brukner_state(), spec)
     assert np.all(np.abs(e.values - exact) < 4 * e.errors)
     # friend outcomes only defined on the opened branches
     assert (log.c[log.x == 2] == UNDEFINED).all()
