@@ -14,7 +14,6 @@ verdicts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -49,8 +48,12 @@ EXIT_OUTPUT = 3
 CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
 # Rows converted to Python objects at a time while writing runs.csv.
 CSV_BLOCK = 50_000
-# Indexed by a C/D value: 0 (undefined) -> blank, +1 -> 1, -1 -> -1.
-_FRIEND_CELL = np.array(["", 1, -1], dtype=object)
+# "X,Y,A,B,C,D," per inequality.cell_key, undefined C/D blank: no field needs quotes.
+_CELL_TEXT = [
+    f"{x},{y},{a},{b},{c},{d},"
+    for x in (1, 2) for y in (1, 2) for a in (1, -1) for b in (1, -1)
+    for c in (1, -1, "") for d in (1, -1, "")
+]
 
 __all__ = [
     "CampaignConfig",
@@ -77,8 +80,9 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be a finite positive number, got {self.k!r}")
+        # From k ~ 38.4 the per-cell level in _familywise_k underflows to 0.
+        if not (math.isfinite(self.k) and 0 < self.k <= 38):
+            raise ValueError(f"k must be a number in (0, 38], got {self.k!r}")
 
     def echo(self) -> dict:
         return {
@@ -151,16 +155,15 @@ def _lambda_tags(lam: dict, lo: int, hi: int) -> list[str]:
 
 
 def _write_csv(path: Path, log: RunLog) -> None:
+    """One "trial,X,Y,A,B,C,D,lambda_tag" row per trial, CRLF-terminated."""
+    key = inequality.cell_key(log)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
+        handle.write(",".join(CSV_HEADER) + "\r\n")
         for lo in range(0, len(log), CSV_BLOCK):
             hi = min(lo + CSV_BLOCK, len(log))
             trials = range(log.first_trial + lo, log.first_trial + hi)
-            outcomes = [getattr(log, n)[lo:hi].tolist() for n in "xyab"]
-            friends = [_FRIEND_CELL[getattr(log, n)[lo:hi]].tolist() for n in "cd"]
-            tags = _lambda_tags(log.lam, lo, hi)
-            writer.writerows(zip(trials, *outcomes, *friends, tags))
+            rows = zip(trials, key[lo:hi].tolist(), _lambda_tags(log.lam, lo, hi))
+            handle.writelines(f"{t},{_CELL_TEXT[k]}{tag}\r\n" for t, k, tag in rows)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -301,7 +304,8 @@ def config_from_dict(data: dict) -> CampaignConfig:
         scenario = default_scenario(kind, trials)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    options_class, raw_options = MODELS[model].options, data.get("model_options")
+    options_class = MODELS[model].options
+    raw_options = _typed(data, "model_options", None, dict, type(None))
     if raw_options and options_class is None:
         raise ValueError(f"model {model!r} takes no options")
     options = options_class(**raw_options) if raw_options else None

@@ -10,7 +10,7 @@ the 8 CHSH sign variants stays at or below 2.  Both routes are implemented
 
 Every statistic here, and every assumption check, reads one ``CountTable``:
 the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
-run log in a single pass.
+run log in a single pass over each trial's ``cell_key``.
 
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
@@ -37,6 +37,7 @@ __all__ = [
     "IdentityCheck",
     "DerivationChainReport",
     "InequalityReport",
+    "cell_key",
     "tabulate",
     "expectations",
     "chsh_values",
@@ -105,19 +106,26 @@ class ExpectationMatrix:
     n: np.ndarray  # (2, 2) ints
 
 
-def tabulate(log: RunLog) -> CountTable:
-    """Count a run log into N(x, y, a, b, c, d, lambda-bin) with one
-    ``np.bincount`` over an int16 cell key."""
+def cell_key(log: RunLog) -> np.ndarray:
+    """Index 0..143 of each trial's (x, y, a, b, c, d) cell, int16, in the
+    row-major order of the first six ``CountTable`` axes."""
     for setting in (log.x, log.y):
         if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
-    binner = MODELS[log.model].binner if log.model in MODELS else None
     key = (log.x - 1).astype(np.int16)
     key *= 2
     key += log.y - 1
     for column, size in ((log.a, 2), (log.b, 2), (log.c, 3), (log.d, 3)):
         key *= size
         key += _AXIS_INDEX[column]
+    return key
+
+
+def tabulate(log: RunLog) -> CountTable:
+    """Count a run log into N(x, y, a, b, c, d, lambda-bin) with one
+    ``np.bincount`` over ``cell_key`` refined by the lambda bin."""
+    key = cell_key(log)
+    binner = MODELS[log.model].binner if log.model in MODELS else None
     n_bins = 1
     if binner is not None and len(log):
         bins = binner(log)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -9,9 +10,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import synthetic_log
 from ewfs import harness
 from ewfs.harness import (
     EXIT_OK,
@@ -168,6 +171,30 @@ def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, model
     _csv_rows(tmp_path / "many", model, 1_000)
     one, many = ((tmp_path / d / "runs.csv").read_bytes() for d in ("one", "many"))
     assert one == many
+
+
+def _csv_writer_reference(log):
+    """Reference: runs.csv as csv.writer writes it, one row at a time."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"])
+    friend = {0: "", 1: 1, -1: -1}
+    tags = _per_row_tags(log.lam, 0, len(log))
+    for i, tag in enumerate(tags):
+        x, y, a, b, c, d = (int(getattr(log, n)[i]) for n in "xyabcd")
+        writer.writerow([log.first_trial + i, x, y, a, b, friend[c], friend[d], tag])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("lam", [None, {"strategy": np.arange(144) % 16}])
+def test_csv_rows_match_a_csv_writer_reference(tmp_path, lam):
+    # Every (x, y, a, b, c, d) cell, including ones no model produces,
+    # such as C blank with D set at X = 1.
+    cells = list(itertools.product((1, 2), (1, 2), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0)))
+    log = synthetic_log(*zip(*cells), lam=lam)
+    log.first_trial = 5
+    harness._write_csv(tmp_path / "runs.csv", log)
+    assert (tmp_path / "runs.csv").read_bytes() == _csv_writer_reference(log)
 
 
 def _per_row_tags(lam, lo, hi):
@@ -406,6 +433,12 @@ def test_cli_compare_non_finite_integers_exit_2(tmp_path, capsys, key, bad):
         ("check_assumptions", "false"),
         ("check_assumptions", 0),
         ("label", 5),
+        ("model_options", 0),
+        ("model_options", False),
+        ("model_options", []),
+        ("model_options", ""),
+        ("model_options", [1]),
+        ("model_options", "ab"),
     ],
 )
 def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
@@ -423,13 +456,14 @@ def test_cli_compare_large_k_exits_0(tmp_path, capsys):
     campaigns = [
         {"scenario": "ewfs", "model": "lhv", "trials": 2000, "k": 10},
         {"scenario": "ewfs", "model": "unitary-qm", "trials": 2000, "k": 10},
+        {"scenario": "ewfs", "model": "collapse", "trials": 2000, "k": 38},
     ]
     path = tmp_path / "campaigns.json"
     path.write_text(json.dumps(campaigns))
     assert main(["--compare", str(path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0, -1, 38.5, 40])
 def test_cli_compare_bad_k_exits_2(tmp_path, capsys, k):
     # A NaN k used to report unitary-qm at S_max 2.8 as "satisfied".
     campaigns = [
@@ -647,10 +681,10 @@ def test_harness_import_leaves_scipy_stats_out():
     done = _python(
         "-c",
         "import sys, ewfs.harness; "
-        "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'csv')))",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"
 
 
 def test_module_entry_point_runs_without_runtime_warning():
