@@ -53,9 +53,6 @@ class EmptyCell(ValueError):
     """A required setting-pair cell holds no trials."""
 
 
-# Axis index of an outcome, looked up by its value: +1 -> 0, -1 -> 1 and
-# UNDEFINED (0) -> 2 (index -1 reads the last entry).
-_AXIS_INDEX = np.array([2, 0, 1], dtype=np.int16)
 _AB_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
 
 
@@ -108,16 +105,21 @@ class ExpectationMatrix:
 
 def cell_key(log: RunLog) -> np.ndarray:
     """Index 0..143 of each trial's (x, y, a, b, c, d) cell, int16, in the
-    row-major order of the first six ``CountTable`` axes."""
+    row-major order of the first six ``CountTable`` axes.  An outcome's
+    axis index is [v < 0] + 2 [v = 0]: +1 -> 0, -1 -> 1, UNDEFINED -> 2."""
     for setting in (log.x, log.y):
         if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
-    key = (log.x - 1).astype(np.int16)
+    key = log.x.astype(np.int16)
     key *= 2
-    key += log.y - 1
-    for column, size in ((log.a, 2), (log.b, 2), (log.c, 3), (log.d, 3)):
-        key *= size
-        key += _AXIS_INDEX[column]
+    key += log.y - 3
+    for column in (log.a, log.b):
+        key *= 2
+        key += column < 0
+    for column in (log.c, log.d):
+        key *= 3
+        key += column < 0
+        key += (column == 0).view(np.int8) << 1
     return key
 
 
@@ -176,7 +178,7 @@ def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
 
 def deterministic_strategy_tables() -> np.ndarray:
     """Behaviors of the 16 deterministic strategies, shape (16, 2, 2, 2, 2)."""
-    idx = _AXIS_INDEX[lhv_strategies()]  # columns A1, A2, B1, B2
+    idx = (1 - lhv_strategies()) // 2  # axis index of A1, A2, B1, B2
     s, x, y = np.ix_(range(16), range(2), range(2))
     tables = np.zeros((16, 2, 2, 2, 2))
     tables[s, x, y, idx[s, x], idx[s, 2 + y]] = 1.0

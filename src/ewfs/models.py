@@ -205,22 +205,38 @@ def ewfs_outcome_tables(spec: ScenarioSpec) -> dict:
     }
 
 
-def _sample_discrete(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.size - 1)
+def _sample_discrete(weights, u: np.ndarray) -> np.ndarray:
+    """Index of the weight whose cumulative interval holds each u; a u past
+    the float total (which can fall short of 1) goes to the last nonzero
+    weight, not to a zero-weight tail."""
+    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    return np.minimum(idx, np.flatnonzero(weights)[-1], out=idx)
+
+
+def _signs(plus: np.ndarray) -> np.ndarray:
+    """+1 where ``plus`` holds, else -1, as int8."""
+    return 2 * plus.view(np.int8) - 1
+
+
+def _bit_signs(value: np.ndarray, bit) -> np.ndarray:
+    """+1 where the given bit of the int8 ``value`` is 0, else -1, as int8."""
+    return 1 - 2 * ((value >> bit) & 1)
 
 
 def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
     """Sample (A, B) in {+1,-1} per trial from the 2x2 probability table of
-    its setting pair."""
-    a = np.empty(xs.size, dtype=np.int8)
-    b = np.empty(xs.size, dtype=np.int8)
+    its setting pair p = 2(x - 1) + (y - 1).  The outcome index
+    2[A=-1] + [B=-1] is sum_j [cum_j <= u] over the first three entries of
+    the table's cumsum: searchsorted(cum, u, "right") clipped to 3, because
+    a cumsum of nonnegative entries never decreases."""
+    cum = np.empty((4, 4))
     for (x, y), table in tables.items():
-        mask = (xs == x) & (ys == y)
-        idx = _sample_discrete(np.cumsum(table.reshape(-1)), u[mask])
-        a[mask] = np.where(idx // 2 == 0, 1, -1)
-        b[mask] = np.where(idx % 2 == 0, 1, -1)
-    return a, b
+        cum[2 * (x - 1) + (y - 1)] = np.cumsum(table.reshape(-1))
+    p = 2 * xs + ys - 3
+    idx = (cum[p, 0] <= u).view(np.int8)
+    idx += cum[p, 1] <= u
+    idx += cum[p, 2] <= u
+    return _bit_signs(idx, 1), _bit_signs(idx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,51 +247,43 @@ def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_unitary_qm(spec, xs, ys, u, options):
     a, b = _joint_outcomes(ewfs_outcome_tables(spec), xs, ys, u[:, 0])
-    c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
-    d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
-    return a, b, c, d, {}
+    # 2 - x is 1 on the opened branch (setting 1), else 0 = UNDEFINED
+    return a, b, (2 - xs) * a, (2 - ys) * b, {}
 
 
 def _sample_collapse(spec, xs, ys, u, options):
     if spec.kind == BRUKNER_EWFS:
         # Friends' z measurements collapse the singlet: C is a Born coin,
         # D is fixed by the perfect anticorrelation of the collapsed state.
-        c = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
-        d = (-c).astype(np.int8)
-        coin_a = np.where(u[:, 1] < 0.5, 1, -1).astype(np.int8)
-        coin_b = np.where(u[:, 2] < 0.5, 1, -1).astype(np.int8)
-        a = np.where(xs == 1, c, coin_a).astype(np.int8)
-        b = np.where(ys == 1, d, coin_b).astype(np.int8)
+        c = _signs(u[:, 0] < 0.5)
+        d = -c
+        a = np.where(xs == 1, c, _signs(u[:, 1] < 0.5))
+        b = np.where(ys == 1, d, _signs(u[:, 2] < 0.5))
         return a, b, c, d, {}
     # Standard Bell: Alice's spin measurement collapses nonlocally, Bob
     # measures the collapsed branch: P(A=+) = 1/2 and
-    # P(B=+ | A=+/-) = (1 -/+ cos(angle_a - angle_b)) / 2.
-    a = np.empty(xs.size, dtype=np.int8)
-    b = np.empty(xs.size, dtype=np.int8)
-    for x, angle_a in enumerate(spec.alice_settings, start=1):
-        for y, angle_b in enumerate(spec.bob_settings, start=1):
-            mask = (xs == x) & (ys == y)
-            cos = math.cos(angle_a - angle_b)
-            a_plus = u[mask, 0] < 0.5
-            p_b_plus = np.where(a_plus, (1 - cos) / 2, (1 + cos) / 2)
-            a[mask] = np.where(a_plus, 1, -1)
-            b[mask] = np.where(u[mask, 1] < p_b_plus, 1, -1)
-    return a, b, None, None, {}
+    # P(B=+ | A=+/-) = (1 -/+ cos(angle_a - angle_b)) / 2, looked up at
+    # 2p + [A=+] for setting pair p.
+    cos = np.array([math.cos(a - b) for a in spec.alice_settings for b in spec.bob_settings])
+    p_b_plus = np.stack([(1 + cos) / 2, (1 - cos) / 2], axis=1).ravel()
+    a_plus = u[:, 0] < 0.5
+    b = _signs(u[:, 1] < p_b_plus[2 * (2 * xs + ys - 3) + a_plus])
+    return _signs(a_plus), b, None, None, {}
 
 
 def _sample_toy(spec, xs, ys, u, opts):
     theta1 = u[:, 0] * math.pi
     theta2 = u[:, 1] * math.pi
-    out1 = np.where(u[:, 2] < np.cos(theta1) ** 2, 1, -1).astype(np.int8)
-    out2 = np.where(u[:, 3] < np.cos(theta2) ** 2, 1, -1).astype(np.int8)
-    post1 = np.where(out1 == 1, opts.theta_after_plus, opts.theta_after_minus)
-    post2 = np.where(out2 == 1, opts.theta_after_plus, opts.theta_after_minus)
+    plus1 = u[:, 2] < np.cos(theta1) ** 2
+    plus2 = u[:, 3] < np.cos(theta2) ** 2
+    post = np.array([opts.theta_after_minus, opts.theta_after_plus])
     lam = {
         "theta1": theta1,
         "theta2": theta2,
-        "theta1_post": post1,
-        "theta2_post": post2,
+        "theta1_post": post[plus1.view(np.int8)],
+        "theta2_post": post[plus2.view(np.int8)],
     }
+    out1, out2 = _signs(plus1), _signs(plus2)
     if spec.kind == BRUKNER_EWFS:
         # Friends draw C, D from the hidden angles (uncorrelated wings);
         # superobserver outcomes mimic collapse-model quantum correlations
@@ -293,15 +301,16 @@ def _sample_toy(spec, xs, ys, u, opts):
 
 
 def _sample_lhv(spec, xs, ys, u, opts):
-    strat = lhv_strategies()
-    idx = _sample_discrete(np.cumsum(np.asarray(opts.weights)), u[:, 0])
-    a = strat[idx, xs - 1]
-    b = strat[idx, 2 + (ys - 1)]
+    # Strategy s holds (A1, A2, B1, B2) in bits 3, 2, 1, 0, as in lhv_strategies.
+    idx = _sample_discrete(opts.weights, u[:, 0])
+    s = idx.astype(np.int8)
+    a = _bit_signs(s, 4 - xs)
+    b = _bit_signs(s, 2 - ys)
     lam = {"strategy": idx.astype(np.int16)}
     if spec.kind == BRUKNER_EWFS:
         # Friends report the setting-1 values of the strategy table, so
         # superobserver/friend consistency holds by construction.
-        return a, b, strat[idx, 0], strat[idx, 2], lam
+        return a, b, _bit_signs(s, 3), _bit_signs(s, 1), lam
     return a, b, None, None, lam
 
 
@@ -371,7 +380,6 @@ def run_trials(
         options = expected()
     n_trials = spec.trials - first_trial if n_trials is None else n_trials
     xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
-    xs, ys = xs.astype(np.int8), ys.astype(np.int8)
     u = uniform_block(seed, f"model:{model}", n_trials, entry.draws, first_trial)
     a, b, c, d, lam = entry.sample(spec, xs, ys, u, options)
     if c is None:  # the model assigns no friend outcomes

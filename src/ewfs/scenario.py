@@ -83,9 +83,12 @@ def sample_settings_block(
     n_trials: int,
     first_trial: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform i.i.d. settings for trials [first_trial, first_trial + n_trials), 1-based."""
+    """Uniform i.i.d. settings (x, y) for trials [first_trial, first_trial +
+    n_trials): two int8 arrays with values in {1, 2}.  Each trial's pair
+    2(x - 1) + (y - 1) is floor(4u) of its one settings-stream draw."""
     if first_trial < 0 or first_trial + n_trials > spec.trials:
         raise IndexError("trial range outside spec.trials")
     u = uniform_block(seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
-    pair = np.minimum((u * 4).astype(np.int64), 3)
-    return pair // 2 + 1, pair % 2 + 1
+    u *= 4
+    pair = np.minimum(u.astype(np.int8), 3)
+    return (pair >> 1) + 1, (pair & 1) + 1

@@ -17,9 +17,11 @@ from ewfs.models import (
     MODELS,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
+    RunLog,
     ToyOptions,
     UNDEFINED,
     UnsupportedScenario,
+    _sample_lhv,
     ewfs_outcome_tables,
     lhv_exact_expectations,
     lhv_strategies,
@@ -222,6 +224,176 @@ def test_parallel_equals_sequential(model):
     ]
     for column, parts in zip(_columns(whole), zip(*map(_columns, blocks))):
         np.testing.assert_array_equal(column, np.concatenate(parts))
+
+
+# --- reference samplers ----------------------------------------------------
+# The masked, one-pass-per-setting-pair samplers that the pair-indexed ones
+# replaced, kept as the bitwise reference: same draws, same comparisons.
+
+
+def _ref_settings(spec, seed, n, first):
+    u = uniform_block(seed, "settings", n, 1, first)[:, 0]
+    pair = np.minimum((u * 4).astype(np.int64), 3)
+    return (pair // 2 + 1).astype(np.int8), (pair % 2 + 1).astype(np.int8)
+
+
+def _ref_discrete(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def _ref_joint_outcomes(tables, xs, ys, u):
+    a = np.empty(xs.size, dtype=np.int8)
+    b = np.empty(xs.size, dtype=np.int8)
+    for (x, y), table in tables.items():
+        mask = (xs == x) & (ys == y)
+        idx = _ref_discrete(np.cumsum(table.reshape(-1)), u[mask])
+        a[mask] = np.where(idx // 2 == 0, 1, -1)
+        b[mask] = np.where(idx % 2 == 0, 1, -1)
+    return a, b
+
+
+def _ref_unitary_qm(spec, xs, ys, u, options):
+    a, b = _ref_joint_outcomes(ewfs_outcome_tables(spec), xs, ys, u[:, 0])
+    c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
+    d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
+    return a, b, c, d, {}
+
+
+def _ref_collapse(spec, xs, ys, u, options):
+    if spec.kind == BRUKNER_EWFS:
+        c = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
+        d = (-c).astype(np.int8)
+        coin_a = np.where(u[:, 1] < 0.5, 1, -1).astype(np.int8)
+        coin_b = np.where(u[:, 2] < 0.5, 1, -1).astype(np.int8)
+        a = np.where(xs == 1, c, coin_a).astype(np.int8)
+        b = np.where(ys == 1, d, coin_b).astype(np.int8)
+        return a, b, c, d, {}
+    a = np.empty(xs.size, dtype=np.int8)
+    b = np.empty(xs.size, dtype=np.int8)
+    for x, angle_a in enumerate(spec.alice_settings, start=1):
+        for y, angle_b in enumerate(spec.bob_settings, start=1):
+            mask = (xs == x) & (ys == y)
+            cos = math.cos(angle_a - angle_b)
+            a_plus = u[mask, 0] < 0.5
+            p_b_plus = np.where(a_plus, (1 - cos) / 2, (1 + cos) / 2)
+            a[mask] = np.where(a_plus, 1, -1)
+            b[mask] = np.where(u[mask, 1] < p_b_plus, 1, -1)
+    return a, b, None, None, {}
+
+
+def _ref_toy(spec, xs, ys, u, opts):
+    theta1 = u[:, 0] * math.pi
+    theta2 = u[:, 1] * math.pi
+    out1 = np.where(u[:, 2] < np.cos(theta1) ** 2, 1, -1).astype(np.int8)
+    out2 = np.where(u[:, 3] < np.cos(theta2) ** 2, 1, -1).astype(np.int8)
+    post1 = np.where(out1 == 1, opts.theta_after_plus, opts.theta_after_minus)
+    post2 = np.where(out2 == 1, opts.theta_after_plus, opts.theta_after_minus)
+    lam = {"theta1": theta1, "theta2": theta2, "theta1_post": post1, "theta2_post": post2}
+    if spec.kind == BRUKNER_EWFS:
+        tables = {
+            (x, y): singlet_joint_probs(opts.alice_angles[x - 1], opts.bob_angles[y - 1])
+            for x in (1, 2)
+            for y in (1, 2)
+        }
+        a, b = _ref_joint_outcomes(tables, xs, ys, u[:, 4])
+        return a, b, out1, out2, lam
+    return out1, out2, None, None, lam
+
+
+def _ref_lhv(spec, xs, ys, u, opts):
+    strat = lhv_strategies()
+    idx = _ref_discrete(np.cumsum(np.asarray(opts.weights)), u[:, 0])
+    a = strat[idx, xs - 1]
+    b = strat[idx, 2 + (ys - 1)]
+    lam = {"strategy": idx.astype(np.int16)}
+    if spec.kind == BRUKNER_EWFS:
+        return a, b, strat[idx, 0], strat[idx, 2], lam
+    return a, b, None, None, lam
+
+
+_REFERENCE = {
+    MODEL_UNITARY_QM: _ref_unitary_qm,
+    MODEL_COLLAPSE: _ref_collapse,
+    MODEL_TOY: _ref_toy,
+    MODEL_LHV: _ref_lhv,
+}
+
+
+def _reference_log(spec, model, seed, options, first, n):
+    xs, ys = _ref_settings(spec, seed, n, first)
+    u = uniform_block(seed, f"model:{model}", n, MODELS[model].draws, first)
+    if options is None and MODELS[model].options is not None:
+        options = MODELS[model].options()
+    a, b, c, d, lam = _REFERENCE[model](spec, xs, ys, u, options)
+    if c is None:
+        c, d = (np.full(n, UNDEFINED, dtype=np.int8) for _ in "cd")
+    return RunLog(spec.kind, model, xs, ys, a, b, c, d, lam, first)
+
+
+def _bell(phi, trials):
+    return ScenarioSpec(STANDARD_BELL, (0.0, math.pi / 2), (phi, phi + math.pi / 2), trials)
+
+
+_REF_TRIALS = 200_000
+_REF_CASES = [
+    (default_scenario(BRUKNER_EWFS, _REF_TRIALS), MODEL_UNITARY_QM, None),
+    (default_scenario(BRUKNER_EWFS, _REF_TRIALS), MODEL_COLLAPSE, None),
+    *((_bell(phi, _REF_TRIALS), MODEL_COLLAPSE, None) for phi in (0.0, 1.0, -2.5)),
+    *(
+        (default_scenario(kind, _REF_TRIALS), model, options)
+        for kind in (STANDARD_BELL, BRUKNER_EWFS)
+        for model, options in [
+            (MODEL_TOY, None),
+            (MODEL_TOY, TOY_OPTIMAL_CHSH),
+            (MODEL_TOY, ToyOptions((-0.3, 2.0), (-1.0, -2.5), -0.0, -1.2)),
+            (MODEL_LHV, None),
+            (MODEL_LHV, LhvOptions(tuple((i + 1) / 136 for i in range(16)))),
+            (MODEL_LHV, LhvOptions((0.3,) + (0.0,) * 14 + (0.7,))),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("first_trial", (0, 7_777))
+@pytest.mark.parametrize(
+    "spec,model,options",
+    _REF_CASES,
+    ids=[f"{spec.kind}-{model}-{i}" for i, (spec, model, _) in enumerate(_REF_CASES)],
+)
+def test_samplers_match_the_masked_reference_bitwise(spec, model, options, first_trial):
+    n = spec.trials - first_trial
+    got = run_trials(spec, model, seed=21, options=options, first_trial=first_trial)
+    want = _reference_log(spec, model, 21, options, first_trial, n)
+    assert sorted(got.lam) == sorted(want.lam)
+    for name, g, w in zip("xyabcd" + "".join(sorted(got.lam)), _columns(got), _columns(want)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@pytest.mark.parametrize("kind", (STANDARD_BELL, BRUKNER_EWFS))
+def test_run_trials_column_dtypes(model, kind):
+    if kind not in MODELS[model].kinds:
+        pytest.skip("unsupported combination")
+    log = run_trials(default_scenario(kind, 50), model, seed=0)
+    assert [getattr(log, name).dtype for name in "xyabcd"] == [np.int8] * 6
+    want = {MODEL_TOY: np.float64, MODEL_LHV: np.int16}.get(model)
+    assert {key: col.dtype for key, col in log.lam.items()} == {
+        key: want for key in log.lam
+    }
+    assert len(log.lam) == {MODEL_TOY: 4, MODEL_LHV: 1}.get(model, 0)
+
+
+def test_lhv_never_draws_a_zero_weight_strategy():
+    """The cumsum of ten weights 0.1 ends at 1 - 2**-53; a u at or past that
+    total goes to the last nonzero weight, not to a trailing zero weight."""
+    weights = (0.1,) * 10 + (0.0,) * 6
+    total = float(np.cumsum(weights)[-1])
+    assert total == 1 - 2**-53
+    u = np.array([0.0, 0.95, np.nextafter(total, 0), total])
+    spec = default_scenario(BRUKNER_EWFS, u.size)
+    xs = ys = np.ones(u.size, dtype=np.int8)
+    *_, lam = _sample_lhv(spec, xs, ys, u[:, None], LhvOptions(weights))
+    np.testing.assert_array_equal(lam["strategy"], [0, 9, 9, 9])
 
 
 def test_unsupported_combinations_raise():

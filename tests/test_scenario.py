@@ -55,7 +55,8 @@ def test_bell_angles_must_be_finite(bad):
 def test_uniform_sampler_range_and_split_invariance():
     spec = default_scenario(BRUKNER_EWFS, 500)
     xs, ys = sample_settings_block(spec, 42, 500)
-    assert set(np.unique(xs)) <= {1, 2} and set(np.unique(ys)) <= {1, 2}
+    assert xs.dtype == ys.dtype == np.int8
+    assert set(np.unique(xs)) == {1, 2} and set(np.unique(ys)) == {1, 2}
     xs2a, ys2a = sample_settings_block(spec, 42, 123)
     xs2b, ys2b = sample_settings_block(spec, 42, 377, first_trial=123)
     np.testing.assert_array_equal(xs, np.concatenate([xs2a, xs2b]))
