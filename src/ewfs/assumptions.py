@@ -74,10 +74,6 @@ class AssumptionReport:
     def passed(self, name: str) -> bool | None:
         return self.checks[name].passed
 
-    def all_passed(self, names=None) -> bool:
-        names = names or list(self.checks)
-        return all(self.checks[n].passed is True for n in names)
-
     def to_dict(self) -> dict:
         return {name: check.to_dict() for name, check in self.checks.items()}
 

@@ -182,7 +182,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             _write_csv(out / "runs.csv", log)
         if "json" in config.formats:
             with (out / "report.json").open("w") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
+                # a numpy setting or angle is echoed as the Python number it holds
+                json.dump(
+                    report, handle, indent=2, sort_keys=True, default=np.generic.item
+                )
                 handle.write("\n")
     return CampaignResult(config, log, ineq, assum, report)
 

@@ -110,6 +110,11 @@ def cell_key(log: RunLog) -> np.ndarray:
     for setting in (log.x, log.y):
         if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
+    for column, defined in ((log.a, True), (log.b, True), (log.c, False), (log.d, False)):
+        if column.size and (
+            column.min() < -1 or column.max() > 1 or (defined and not column.all())
+        ):
+            raise ValueError("outcomes outside +-1 (A, B) or +-1, 0 (C, D)")
     key = log.x.astype(np.int16)
     key *= 2
     key += log.y - 3
@@ -295,12 +300,6 @@ class DerivationChainReport:
     @property
     def all_hold(self) -> bool:
         return all(i.holds for i in self.identities)
-
-    def gap(self, label: str) -> float:
-        for i in self.identities:
-            if i.label == label:
-                return i.delta
-        raise KeyError(label)
 
     def to_dict(self) -> dict:
         return {

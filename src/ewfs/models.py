@@ -37,6 +37,7 @@ from .scenario import (
     BRUKNER_EWFS,
     STANDARD_BELL,
     ScenarioSpec,
+    finite_real,
     sample_settings_block,
 )
 from .streams import uniform_block
@@ -127,8 +128,8 @@ class ToyOptions:
             raise ValueError("toy-theta needs exactly two angles per party")
         angles = self.alice_angles + self.bob_angles
         angles += (self.theta_after_plus, self.theta_after_minus)
-        if not all(map(math.isfinite, angles)):
-            raise ValueError("toy-theta angles must be finite")
+        if not all(map(finite_real, angles)):
+            raise ValueError("toy-theta angles must be finite numbers")
 
 
 # Angle assignment under which the toy model's EWFS correlations reach the
@@ -143,12 +144,13 @@ class LhvOptions:
     weights: tuple[float, ...] = (1.0 / 16,) * 16
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(self.weights)
+        if not all(map(finite_real, w)):
+            raise ValueError("strategy weights must be finite numbers")
+        w = tuple(map(float, w))
         object.__setattr__(self, "weights", w)
         if len(w) != 16:
             raise ValueError("need exactly 16 strategy weights")
-        if not all(map(math.isfinite, w)):
-            raise ValueError("strategy weights must be finite")
         if min(w) < 0:
             raise ValueError("strategy weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-9:
@@ -186,11 +188,7 @@ def _lab_pair_table(kind_a: str, kind_b: str) -> np.ndarray:
     measurements, derived through qcore once per process; read-only because
     every caller shares it."""
     lab_state = qcore.lab_pair_state(qcore.brukner_state())
-    probs = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
-    leak = probs[2, :].sum() + probs[:, 2].sum()
-    if leak > 1e-9:
-        raise qcore.ContractViolation("lab state leaked outside the pointer subspace")
-    table = probs[:2, :2] / probs[:2, :2].sum()
+    table = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
     table.setflags(write=False)
     return table
 

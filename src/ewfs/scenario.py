@@ -17,6 +17,7 @@ choice of settings is independent of all hidden state by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,15 @@ __all__ = [
     "default_scenario",
     "sample_settings_block",
 ]
+
+
+def finite_real(value) -> bool:
+    """A finite Python or numpy int or float, not a bool or a string."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -65,9 +75,7 @@ class ScenarioSpec:
                     raise ValueError("ewfs settings must be 'Z' or 'X'")
                 if settings[0] != "Z":
                     raise ValueError("ewfs setting 1 must be the Z measurement")
-            elif not all(
-                isinstance(s, (int, float)) and math.isfinite(s) for s in settings
-            ):
+            elif not all(map(finite_real, settings)):
                 raise ValueError("bell settings must be finite angles in radians")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -31,6 +33,20 @@ def synthetic_log(x, y, a, b, c=None, d=None, kind="ewfs", model="synthetic", la
     )
 
 
+def singlet() -> qcore.StateVector:
+    """(|+z,-z> - |-z,+z>) / sqrt(2): the reference state of the Bell tests."""
+    amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)
+    return qcore.StateVector(amps, (2, 2))
+
+
+def spin_projectors(angle: float) -> list[qcore.Projector]:
+    """Rank-1 projectors for a spin measurement along ``angle`` in the x-z
+    plane; eigenstates cos(a/2)|+z> +/- sin(a/2)|-z> (up to orthogonality)."""
+    plus = np.array([math.cos(angle / 2), math.sin(angle / 2)], dtype=complex)
+    minus = np.array([-math.sin(angle / 2), math.cos(angle / 2)], dtype=complex)
+    return [qcore.Projector(np.outer(v, v.conj())) for v in (plus, minus)]
+
+
 def analytic_expectations(state: qcore.StateVector, spec: ScenarioSpec) -> np.ndarray:
     """Exact correlators E(x, y) of ``state`` from qcore Born probabilities,
     no sampling: the reference for the models' fixed tables."""
@@ -39,10 +55,9 @@ def analytic_expectations(state: qcore.StateVector, spec: ScenarioSpec) -> np.nd
     for x, setting_a in enumerate(spec.alice_settings):
         for y, setting_b in enumerate(spec.bob_settings):
             if lab_state is not None:
-                probs = qcore.lab_joint_probabilities(lab_state, setting_a, setting_b)[:2, :2]
+                probs = qcore.lab_joint_probabilities(lab_state, setting_a, setting_b)
             else:
-                pa = qcore.spin_projectors(setting_a)
-                pb = qcore.spin_projectors(setting_b)
+                pa, pb = spin_projectors(setting_a), spin_projectors(setting_b)
                 joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
                 probs = qcore.born_probabilities(state, joint).reshape(2, 2)
             e[x, y] = float(np.sum(_AB_SIGN * probs))

@@ -38,7 +38,7 @@ from ewfs.models import (
     ToyOptions,
     run_trials,
 )
-from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
+from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, ScenarioSpec, default_scenario
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -108,6 +108,24 @@ def test_config_from_dict_builds_options():
 
 
 # --- campaign execution and report schema ----------------------------------
+
+
+def test_numpy_numbers_write_the_bytes_of_python_numbers(tmp_path):
+    # A numpy int toy angle used to stop json.dump half way through
+    # report.json, and a numpy int bell setting was refused.
+    ewfs = default_scenario(BRUKNER_EWFS, 500)
+    for name, number in (("py", int), ("np", np.int64)):
+        bell = ScenarioSpec(STANDARD_BELL, (number(0), 1.5), (0.25, number(2)), 500)
+        toy = ToyOptions(alice_angles=(number(0), 1.5), theta_after_plus=number(1))
+        run_campaign(CampaignConfig(bell, MODEL_COLLAPSE, out_dir=tmp_path / name / "bell"))
+        run_campaign(
+            CampaignConfig(ewfs, MODEL_TOY, model_options=toy, out_dir=tmp_path / name / "toy")
+        )
+    written = sorted((tmp_path / "py").rglob("*.*"))
+    assert len(written) == 4
+    for path in written:
+        twin = tmp_path / "np" / path.relative_to(tmp_path / "py")
+        assert twin.read_bytes() == path.read_bytes(), path.name
 
 
 def test_run_campaign_writes_report_and_csv(tmp_path):
@@ -450,6 +468,38 @@ def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
     ))
     err = _usage_error(["--compare", str(path)], capsys)
     assert err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize(
+    "campaign,word",
+    [
+        (
+            {"scenario": "bell", "model": "collapse",
+             "alice_settings": [True, False], "bob_settings": [0.5, 1.0]},
+            "bell settings",
+        ),
+        (
+            {"scenario": "ewfs", "model": "toy-theta",
+             "model_options": {"alice_angles": [False, True]}},
+            "toy-theta angles",
+        ),
+        (
+            {"scenario": "ewfs", "model": "lhv", "model_options": {"weights": ["0.0625"] * 16}},
+            "strategy weights",
+        ),
+        (
+            {"scenario": "ewfs", "model": "lhv", "model_options": {"weights": "1" + "0" * 15}},
+            "strategy weights",
+        ),
+    ],
+)
+def test_cli_compare_non_numbers_exit_2(tmp_path, capsys, campaign, word):
+    # These used to run: booleans as angles 1 and 0, numeric strings as
+    # weights, and a 16-digit string as one weight per character.
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([campaign, {"scenario": "ewfs", "model": "lhv"}]))
+    err = _usage_error(["--compare", str(path)], capsys)
+    assert err.count("\n") == 1 and word in err
 
 
 def test_cli_compare_large_k_exits_0(tmp_path, capsys):

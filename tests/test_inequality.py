@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import analytic_expectations, analytic_quantum_S, synthetic_log
+from conftest import analytic_expectations, analytic_quantum_S, singlet, synthetic_log
 from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
@@ -28,7 +28,7 @@ from ewfs.models import (
     lhv_exact_expectations,
     run_trials,
 )
-from ewfs.qcore import brukner_state, singlet
+from ewfs.qcore import brukner_state
 from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 
 weight_vectors = st.lists(
@@ -89,6 +89,23 @@ def test_tabulate_empty_log():
 def test_tabulate_rejects_settings_outside_two_setting_scenario():
     with pytest.raises(ValueError):
         tabulate(synthetic_log(x=[1, 3], y=[1, 2], a=[1, 1], b=[1, 1]))
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        {"a": [0], "b": [7], "c": [5], "d": [-3]},
+        {"a": [0], "b": [1]},
+        {"a": [1], "b": [-2]},
+        {"a": [1], "b": [1], "c": [2]},
+        {"a": [1], "b": [1], "d": [-3]},
+    ],
+)
+def test_tabulate_rejects_outcomes_outside_their_values(outcomes):
+    # A, B are +-1; C, D are +-1 or 0 (UNDEFINED).  These logs used to be
+    # counted into cells of other values with no error.
+    with pytest.raises(ValueError, match="outcomes outside"):
+        tabulate(synthetic_log(x=[1], y=[1], **outcomes))
 
 
 def test_expectations_match_direct_average():
@@ -306,9 +323,10 @@ def test_chain_requires_coverage_and_friend_outcomes():
 def test_chain_gap_lookup():
     spec = default_scenario(BRUKNER_EWFS, 5_000)
     report = verify_derivation_chain(run_trials(spec, MODEL_LHV, seed=2))
-    assert report.gap("aoe:CD11=AB11") >= 0.0
-    with pytest.raises(KeyError):
-        report.gap("nonexistent")
+    deltas = {i.label: i.delta for i in report.identities}
+    assert len(deltas) == len(report.identities)
+    assert deltas["aoe:CD11=AB11"] >= 0.0
+    assert "nonexistent" not in deltas
 
 
 # --- end-to-end evaluation -------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import analytic_expectations
+from conftest import analytic_expectations, singlet, spin_projectors
 from ewfs import inequality, qcore
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
@@ -21,6 +21,7 @@ from ewfs.models import (
     ToyOptions,
     UNDEFINED,
     UnsupportedScenario,
+    _lab_pair_table,
     _sample_lhv,
     ewfs_outcome_tables,
     lhv_exact_expectations,
@@ -82,7 +83,27 @@ def test_lhv_weights_must_be_finite(bad):
         LhvOptions(weights=(bad,) + (1.0 / 15,) * 15)
 
 
-@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (True,) + (False,) * 15,
+        (np.True_,) + (0.0,) * 15,
+        ("0.0625",) * 16,
+        "1" + "0" * 15,  # would run as 16 one-digit weights
+    ],
+)
+def test_lhv_weights_must_be_numbers(weights):
+    # each of these sums to 1 once converted, so it used to run
+    with pytest.raises(ValueError, match="finite numbers"):
+        LhvOptions(weights=weights)
+
+
+def test_lhv_weights_take_numpy_numbers():
+    assert LhvOptions(weights=np.full(16, 1 / 16)).weights == (1 / 16,) * 16
+    assert LhvOptions(weights=np.eye(16, dtype=np.int64)[3]).weights[3] == 1.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + (True, False, "0.5", None))
 def test_toy_angles_must_be_finite(bad):
     for kwargs in (
         {"alice_angles": (0.0, bad)},
@@ -107,20 +128,19 @@ def test_toy_takes_two_angles_per_party():
 def _qcore_singlet(angle_a, angle_b) -> np.ndarray:
     """The singlet (A, B) table through qcore projectors: the reference for
     the closed form."""
-    pa, pb = qcore.spin_projectors(angle_a), qcore.spin_projectors(angle_b)
+    pa, pb = spin_projectors(angle_a), spin_projectors(angle_b)
     joint = [qcore.Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
-    return qcore.born_probabilities(qcore.singlet(), joint).reshape(2, 2)
+    return qcore.born_probabilities(singlet(), joint).reshape(2, 2)
 
 
 def _qcore_collapse(angle_a, angle_b) -> tuple[float, float, float]:
     """P(A=+), P(B=+ | A=+) and P(B=+ | A=-) of the collapse model's Bell
     test, by projecting the singlet onto Alice's branches through qcore."""
-    psi, eye = qcore.singlet(), np.eye(2)
-    proj_a = [qcore.Projector(np.kron(p.matrix, eye)) for p in qcore.spin_projectors(angle_a)]
-    proj_b = [qcore.Projector(np.kron(eye, p.matrix)) for p in qcore.spin_projectors(angle_b)]
-    branches = [
-        qcore.StateVector(p.matrix @ psi.amplitudes, psi.dims).normalize() for p in proj_a
-    ]
+    psi, eye = singlet(), np.eye(2)
+    proj_a = [qcore.Projector(np.kron(p.matrix, eye)) for p in spin_projectors(angle_a)]
+    proj_b = [qcore.Projector(np.kron(eye, p.matrix)) for p in spin_projectors(angle_b)]
+    collapsed = [p.matrix @ psi.amplitudes for p in proj_a]
+    branches = [qcore.StateVector(v / np.linalg.norm(v), psi.dims) for v in collapsed]
     p_a_plus = qcore.born_probabilities(psi, proj_a)[0]
     return (p_a_plus, *(qcore.born_probabilities(br, proj_b)[0] for br in branches))
 
@@ -168,6 +188,37 @@ def test_ewfs_tables_are_distributions():
         assert abs(table.sum() - 1.0) < 1e-12
         correlator = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
         assert abs(correlator - exact[x - 1, y - 1]) <= 1e-15
+
+
+# float.hex of the four lab-pair tables, row-major over (A, B) = (+, -):
+# the derivation must reproduce these bits, or every ewfs golden digest moves.
+LAB_PAIR_TABLE_HEX = {
+    ("Z", "Z"): ("0x1.2bec333018867p-4", "0x1.b504f333f9de7p-2",
+                 "0x1.b504f333f9de7p-2", "0x1.2bec333018867p-4"),
+    ("Z", "X"): ("0x1.b504f333f9de6p-2", "0x1.2bec333018866p-4",
+                 "0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2"),
+    ("X", "Z"): ("0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2",
+                 "0x1.b504f333f9de6p-2", "0x1.2bec333018866p-4"),
+    ("X", "X"): ("0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2",
+                 "0x1.b504f333f9de6p-2", "0x1.2bec333018868p-4"),
+}
+
+
+def test_lab_pair_tables_are_pinned_bitwise():
+    for (kind_a, kind_b), pinned in LAB_PAIR_TABLE_HEX.items():
+        table = _lab_pair_table(kind_a, kind_b)
+        assert tuple(float(p).hex() for p in table.ravel()) == pinned, (kind_a, kind_b)
+
+
+def test_lab_joint_probabilities_rejects_weight_outside_pointer_subspace():
+    amps = np.zeros(16)
+    amps[0] = math.sqrt(1 - 1e-6)  # both labs at |Z+>
+    amps[4] = 1e-3  # lab 1 at |+z, m->, which no friend measurement produces
+    leaky = qcore.StateVector(amps, (2, 2, 2, 2))
+    for kind_a in ("Z", "X"):
+        for kind_b in ("Z", "X"):
+            with pytest.raises(qcore.ContractViolation, match="pointer subspace"):
+                qcore.lab_joint_probabilities(leaky, kind_a, kind_b)
 
 
 def test_ewfs_tables_are_derived_once_and_read_only(monkeypatch):

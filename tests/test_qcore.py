@@ -4,25 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import singlet, spin_projectors
 from ewfs import qcore
 from ewfs.qcore import (
     ContractViolation,
-    DegenerateProbabilities,
     Projector,
     StateVector,
     Unitary,
-    apply_unitary,
-    basis_state,
     born_probabilities,
     brukner_state,
     friend_unitary,
     lab_joint_probabilities,
     lab_measurement_basis,
     lab_pair_state,
-    permute_subsystems,
-    singlet,
-    spin_projectors,
-    tensor,
 )
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -31,14 +25,17 @@ angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 # --- state construction ----------------------------------------------------
 
 
+def test_public_api_is_the_lab_pair_derivation():
+    assert set(qcore.__all__) == {
+        "ContractViolation", "StateVector", "Projector", "Unitary", "brukner_state",
+        "born_probabilities", "lab_measurement_basis", "friend_unitary",
+        "lab_pair_state", "lab_joint_probabilities",
+    }
+
+
 def test_state_vector_rejects_dim_mismatch():
     with pytest.raises(ContractViolation):
         StateVector(np.ones(3), (2, 2))
-
-
-def test_normalize_null_vector_raises():
-    with pytest.raises(DegenerateProbabilities):
-        StateVector(np.zeros(4), (2, 2)).normalize()
 
 
 def test_entangled_state_amplitudes():
@@ -54,19 +51,8 @@ def test_entangled_state_amplitudes():
 def test_singlet_is_antisymmetric_and_normalized():
     psi = singlet()
     assert abs(psi.norm() - 1.0) < 1e-12
-    swapped = permute_subsystems(psi, (1, 0))
-    np.testing.assert_allclose(swapped.amplitudes, -psi.amplitudes, atol=1e-15)
-
-
-def test_tensor_concatenates_dims_and_preserves_norm():
-    a = basis_state(0, 2)
-    b = StateVector(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
-    ab = tensor(a, b)
-    assert ab.dims == (2, 2)
-    assert abs(ab.norm() - 1.0) < 1e-12
-    np.testing.assert_allclose(
-        ab.amplitudes, np.kron(a.amplitudes, b.amplitudes), atol=1e-15
-    )
+    swapped = psi.amplitudes.reshape(2, 2).T.reshape(-1)
+    np.testing.assert_allclose(swapped, -psi.amplitudes, atol=1e-15)
 
 
 # --- operator validation ---------------------------------------------------
@@ -88,9 +74,9 @@ def test_unitary_rejects_non_unitary():
 
 
 def test_born_requires_complete_projector_set():
-    p_plus, _ = spin_projectors(0.0)[0], None
+    p_plus = spin_projectors(0.0)[0]
     with pytest.raises(ContractViolation):
-        born_probabilities(basis_state(0, 2), [p_plus])
+        born_probabilities(StateVector(np.array([1.0, 0.0]), (2,)), [p_plus])
 
 
 # --- Born rule and collapse ------------------------------------------------
@@ -124,39 +110,13 @@ def _pair(angle):
     return [Projector(np.kron(p.matrix, q.matrix)) for p in pa for q in pb]
 
 
-# --- multi-subsystem plumbing ----------------------------------------------
-
-
-def test_apply_unitary_matches_explicit_kron():
-    psi = tensor(brukner_state(), basis_state(0, 2))
-    h = Unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-    out = apply_unitary(psi, h, (1,))
-    full = np.kron(np.kron(np.eye(2), h.matrix), np.eye(2))
-    np.testing.assert_allclose(out.amplitudes, full @ psi.amplitudes, atol=1e-12)
-
-
-def test_apply_unitary_rejects_wrong_dimension():
-    psi = tensor(basis_state(0, 2), basis_state(0, 2))
-    with pytest.raises(ContractViolation):
-        apply_unitary(psi, friend_unitary(), (0,))
-
-
-def test_permute_subsystems_roundtrip():
-    psi = StateVector(np.arange(1, 9, dtype=float) / math.sqrt(204), (2, 2, 2))
-    once = permute_subsystems(psi, (2, 0, 1))
-    back = permute_subsystems(once, (1, 2, 0))
-    np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
-    assert back.dims == psi.dims
+# --- friend measurement ---------------------------------------------------
 
 
 def test_friend_unitary_copies_z_value_to_memory():
-    u = friend_unitary()
-    # |-z, m+> -> |-z, m->
-    out = apply_unitary(basis_state(2, (2, 2)), u, (0, 1))
-    np.testing.assert_allclose(out.amplitudes, basis_state(3, (2, 2)).amplitudes)
-    # |+z, m+> fixed
-    out = apply_unitary(basis_state(0, (2, 2)), u, (0, 1))
-    np.testing.assert_allclose(out.amplitudes, basis_state(0, (2, 2)).amplitudes)
+    u, basis = friend_unitary().matrix, np.eye(4)
+    np.testing.assert_array_equal(u @ basis[2], basis[3])  # |-z, m+> -> |-z, m->
+    np.testing.assert_array_equal(u @ basis[0], basis[0])  # |+z, m+> fixed
 
 
 # --- lab-level measurements ------------------------------------------------
@@ -164,27 +124,23 @@ def test_friend_unitary_copies_z_value_to_memory():
 
 def test_lab_basis_is_complete():
     for kind in ("Z", "X"):
-        projs = lab_measurement_basis(1, kind)
+        projs = lab_measurement_basis(kind)
         total = sum(p.matrix for p in projs)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
 
-def test_lab_basis_rejects_unknown_kind_and_side():
+def test_lab_basis_rejects_unknown_kind():
     with pytest.raises(ContractViolation):
-        lab_measurement_basis(1, "Y")
-    with pytest.raises(ContractViolation):
-        lab_measurement_basis(3, "Z")
+        lab_measurement_basis("Y")
 
 
 def test_lab_pair_state_stays_in_pointer_subspace():
     lab = lab_pair_state(brukner_state())
     assert lab.dims == (2, 2, 2, 2)
     assert abs(lab.norm() - 1.0) < 1e-12
-    for kind_a in ("Z", "X"):
-        for kind_b in ("Z", "X"):
-            probs = lab_joint_probabilities(lab, kind_a, kind_b)
-            leak = probs[2, :].sum() + probs[:, 2].sum()
-            assert leak < 1e-12
+    outside = np.ones((4, 4), dtype=bool)  # (lab 1, lab 2) basis index pairs
+    outside[np.ix_([0, 3], [0, 3])] = False  # both labs at |Z+> or |Z->
+    assert not lab.amplitudes.reshape(4, 4)[outside].any()
 
 
 def _pauli_correlator(psi, op_a, op_b):
@@ -202,7 +158,7 @@ def test_lab_measurements_reduce_to_particle_paulis():
     lab = lab_pair_state(psi)
     for kind_a in ("Z", "X"):
         for kind_b in ("Z", "X"):
-            probs = lab_joint_probabilities(lab, kind_a, kind_b)[:2, :2]
+            probs = lab_joint_probabilities(lab, kind_a, kind_b)
             e = probs[0, 0] - probs[0, 1] - probs[1, 0] + probs[1, 1]
             expected = _pauli_correlator(psi, ops[kind_a], ops[kind_b])
             assert abs(e - expected) < 1e-12

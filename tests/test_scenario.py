@@ -44,12 +44,19 @@ def test_spec_validation():
         ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (0.0, 1.0, 2.0), 10)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# a bool or a numeric string would otherwise run as the number it converts to
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "0.5", None])
 def test_bell_angles_must_be_finite(bad):
     with pytest.raises(ValueError):
         ScenarioSpec(STANDARD_BELL, (0.0, bad), (0.0, 1.0), 10)
     with pytest.raises(ValueError):
         ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (bad, 1.0), 10)
+
+
+def test_bell_angles_take_numpy_numbers():
+    settings = (np.float64(0.5), np.int64(1)), (np.float32(0.25), 2)
+    spec = ScenarioSpec(STANDARD_BELL, *settings, 10)
+    assert spec.alice_settings == settings[0] and spec.bob_settings == settings[1]
 
 
 def test_uniform_sampler_range_and_split_invariance():
