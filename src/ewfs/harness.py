@@ -112,24 +112,15 @@ class CampaignResult:
     report: dict = field(default_factory=dict)
 
 
-def _report_dict(
-    config: CampaignConfig, table: inequality.CountTable, ineq, assum
-) -> dict:
-    e = inequality.expectations(table)
-    counts = {}
-    expect = {}
-    for x in range(2):
-        for y in range(2):
-            key = f"x{x + 1}y{y + 1}"
-            counts[key] = int(e.n[x, y])
-            expect[key] = {
-                "E": None if math.isnan(e.values[x, y]) else float(e.values[x, y]),
-                "SE": None if math.isnan(e.errors[x, y]) else float(e.errors[x, y]),
-                "n": int(e.n[x, y]),
-            }
+def _report_dict(config: CampaignConfig, ineq: inequality.InequalityReport, assum) -> dict:
+    cells = zip(
+        ("x1y1", "x1y2", "x2y1", "x2y2"),
+        ineq.correlators.ravel().tolist(), ineq.errors.ravel().tolist(), ineq.n.ravel().tolist(),
+    )
+    expect = {key: {"E": e, "SE": se, "n": n} for key, e, se, n in cells}
     report = {
         "config_echo": config.echo(),
-        "per_setting_counts": counts,
+        "per_setting_counts": {key: cell["n"] for key, cell in expect.items()},
         "expectations": expect,
         "verdict": "violated" if ineq.violated else "satisfied",
         "assumptions": None if assum is None else assum.to_dict(),
@@ -174,7 +165,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     table = inequality.tabulate(log)
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
-    report = _report_dict(config, table, ineq, assum)
+    report = _report_dict(config, ineq, assum)
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -190,6 +181,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(config, log, ineq, assum, report)
 
 
+def _verdict_text(passed: bool | None) -> str:
+    """An assumption verdict as printed: pass, fail, or - when inconclusive."""
+    return "-" if passed is None else ("pass" if passed else "fail")
+
+
 def compare_models(configs: list[CampaignConfig]) -> list[dict]:
     """One row per campaign: CHSH statistics plus assumption flags."""
     if len(configs) < 2:
@@ -200,8 +196,7 @@ def compare_models(configs: list[CampaignConfig]) -> list[dict]:
         flags = {}
         if result.assumptions is not None:
             for name in ("aoe_i", "aoe_ii", "aoe_iii", "nsd", "locality"):
-                passed = result.assumptions.passed(name)
-                flags[name] = "-" if passed is None else ("pass" if passed else "fail")
+                flags[name] = _verdict_text(result.assumptions.passed(name))
         rows.append(
             {
                 "label": config.label or f"{config.model}@{config.scenario.kind}",
@@ -323,6 +318,10 @@ def config_from_dict(data: dict) -> CampaignConfig:
     )
 
 
+# --format value -> the files a campaign writes under --out
+_FORMATS = {"json": ("json",), "csv": ("csv",), "both": ("json", "csv")}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, like every other bad input
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -336,15 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", choices=(STANDARD_BELL, BRUKNER_EWFS))
     parser.add_argument("--model", choices=MODEL_NAMES)
-    parser.add_argument("--trials", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--settings",
         help="angle spec 'a1,a2:b1,b2' (bell settings, or toy-theta "
         "superobserver angles in the EWFS); tokens like 'pi/4' are accepted",
     )
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
+    parser.add_argument("--format", choices=_FORMATS, default="both")
     parser.add_argument("--check-assumptions", action="store_true")
     parser.add_argument("--compare", type=Path, help="JSON file with a list of campaigns")
     return parser
@@ -356,24 +355,28 @@ def _single_config(args) -> CampaignConfig:
     if args.scenario is None or args.model is None:
         raise ValueError("--scenario and --model are required (or use --compare)")
     keys = ("scenario", "model", "trials", "seed", "check_assumptions")
-    data = {key: getattr(args, key) for key in keys}
-    if args.settings:
+    # config_from_dict holds the defaults of the flags that were not given
+    data = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    if args.settings is not None:
         alice, bob = parse_settings_spec(args.settings)
         if args.scenario == STANDARD_BELL:
             data.update(alice_settings=alice, bob_settings=bob)
         elif args.model == MODEL_TOY:
             data["model_options"] = {"alice_angles": alice, "bob_angles": bob}
         else:
-            raise ValueError(
-                "--settings applies to bell scenarios or the toy-theta model"
-            )
+            raise ValueError("--settings applies to bell scenarios or the toy-theta model")
     config = config_from_dict(data)
     config.out_dir = args.out
-    config.formats = ("json", "csv") if args.format == "both" else (args.format,)
+    config.formats = _FORMATS[args.format]
     return config
 
 
 def _compare_configs(args) -> list[CampaignConfig]:
+    keys = ("scenario", "model", "trials", "seed", "settings")
+    given = [f"--{key}" for key in keys if getattr(args, key) is not None]
+    given += ["--check-assumptions"] if args.check_assumptions else []
+    if given:
+        raise ValueError(f"--compare does not take {', '.join(given)}: each campaign sets its own")
     try:
         data = json.loads(args.compare.read_text())
     except OSError as exc:
@@ -391,6 +394,7 @@ def _compare_configs(args) -> list[CampaignConfig]:
                 raise ValueError(f"two campaigns would write to directory {name!r}")
             names.add(name)
             config.out_dir = args.out / name
+            config.formats = _FORMATS[args.format]
     return configs
 
 
@@ -410,6 +414,8 @@ def main(argv=None) -> int:
         return EXIT_OUTPUT
     except KeyError as exc:
         parser.error(f"missing config key {exc}")
+    except MemoryError as exc:  # a trial count too large to allocate
+        parser.error(f"not enough memory for the campaign: {exc}")
     except (ValueError, TypeError, OverflowError) as exc:
         parser.error(str(exc))
     ineq = result.inequality
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
     )
     if result.assumptions is not None:
         flags = ", ".join(
-            f"{name}={'-' if chk.passed is None else ('pass' if chk.passed else 'fail')}"
+            f"{name}={_verdict_text(chk.passed)}"
             for name, chk in result.assumptions.checks.items()
         )
         print(f"assumptions: {flags}")

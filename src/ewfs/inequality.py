@@ -10,7 +10,10 @@ the 8 CHSH sign variants stays at or below 2.  Both routes are implemented
 
 Every statistic here, and every assumption check, reads one ``CountTable``:
 the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
-run log in a single pass over each trial's ``cell_key``.
+run log in a single pass over each trial's ``cell_key``.  Its setting-pair
+totals come from ``CountTable.n``, which raises ``EmptyCell`` on an empty
+pair.  ``evaluate`` computes the (2, 2) correlator and SE arrays and the 8
+facet values once each, and its ``InequalityReport`` carries them.
 
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
@@ -32,7 +35,6 @@ __all__ = [
     "CHSH_BOUND",
     "EmptyCell",
     "CountTable",
-    "ExpectationMatrix",
     "PolytopeVerdict",
     "IdentityCheck",
     "DerivationChainReport",
@@ -73,34 +75,24 @@ class CountTable:
         return self.counts.sum(axis=(4, 5, 6))
 
     def n(self) -> np.ndarray:
-        """Trial totals per setting pair, shape (2, 2)."""
-        return self.counts.sum(axis=(2, 3, 4, 5, 6))
+        """Trial totals per setting pair, shape (2, 2); the one place that
+        raises ``EmptyCell``, naming every empty pair."""
+        n = self.counts.sum(axis=(2, 3, 4, 5, 6))
+        if not n.all():
+            empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
+            raise EmptyCell(f"no trials for setting pairs {empty}")
+        return n
 
     def total(self) -> int:
         return int(self.counts.sum())
 
     def probs(self) -> np.ndarray:
-        n = self.n()[:, :, None, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = np.where(n > 0, self.behavior() / np.maximum(n, 1), np.nan)
-        return p
-
-    def empty_pairs(self) -> list[tuple[int, int]]:
-        n = self.n()
-        return [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
+        """P(a, b | x, y), shape (2, 2, 2, 2)."""
+        return self.behavior() / self.n()[:, :, None, None]
 
     def friends_defined(self) -> bool:
         """No trial leaves C or D undefined."""
         return int(self.counts[:, :, :, :, :2, :2].sum()) == self.total()
-
-
-@dataclass
-class ExpectationMatrix:
-    """Correlators E(x, y) with standard errors and per-cell trial counts."""
-
-    values: np.ndarray  # (2, 2)
-    errors: np.ndarray  # (2, 2)
-    n: np.ndarray  # (2, 2) ints
 
 
 def cell_key(log: RunLog) -> np.ndarray:
@@ -145,15 +137,12 @@ def tabulate(log: RunLog) -> CountTable:
     return CountTable(counts.reshape(2, 2, 2, 2, 3, 3, n_bins), binner is not None)
 
 
-def expectations(table: CountTable) -> ExpectationMatrix:
+def expectations(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
+    """Correlators E(x, y) and their standard errors, two (2, 2) arrays."""
     n = table.n()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e = np.einsum("xyab,ab->xy", table.behavior(), _AB_SIGN) / np.maximum(n, 1)
-        e = np.where(n > 0, e, np.nan)
-        # SE of the mean of +/-1 products
-        se = np.sqrt(np.clip(1.0 - e**2, 0.0, None) / np.maximum(n, 1))
-    se = np.where(n > 0, se, np.nan)
-    return ExpectationMatrix(e, se, n.astype(np.int64))
+    e = np.einsum("xyab,ab->xy", table.behavior(), _AB_SIGN) / n
+    # SE of the mean of +/-1 products
+    return e, np.sqrt(np.clip(1.0 - e**2, 0.0, None) / n)
 
 
 # The 8 CHSH facets as sign patterns over E(x, y): facet v has its minus sign
@@ -163,19 +152,17 @@ _FACETS = np.concatenate([1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0]).reshape
 _FACETS.setflags(write=False)
 
 
-def chsh_values(e: ExpectationMatrix) -> np.ndarray:
-    """Values of the 8 CHSH facets; the local bound is 2 for all of them."""
-    if (e.n == 0).any():
-        empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if e.n[x, y] == 0]
-        raise EmptyCell(f"no trials for setting pairs {empty}")
-    return (_FACETS * e.values).sum(axis=(1, 2))
+def chsh_values(e: np.ndarray) -> np.ndarray:
+    """Values of the 8 CHSH facets of the (2, 2) correlators ``e``; the
+    local bound is 2 for all of them."""
+    return (_FACETS * e).sum(axis=(1, 2))
 
 
-def chsh_max_variant(e: ExpectationMatrix) -> tuple[float, int]:
-    """Maximum over the 8 facets.  A later facet wins only by more than
-    1e-15, so near-ties go to the earliest facet."""
+def chsh_max_variant(facets: np.ndarray) -> tuple[float, int]:
+    """Maximum over the 8 facet values.  A later facet wins only by more
+    than 1e-15, so near-ties go to the earliest facet."""
     best, best_id = -math.inf, 0
-    for variant, value in enumerate(chsh_values(e).tolist()):
+    for variant, value in enumerate(facets.tolist()):
         if value > best + 1e-15:
             best, best_id = value, variant
     return best, best_id
@@ -240,7 +227,7 @@ def local_polytope_feasible(
     """
     probs = table.probs() if isinstance(table, CountTable) else np.asarray(table)
     if np.isnan(probs).any():
-        raise EmptyCell("behavior table has empty setting-pair cells")
+        raise ValueError("behavior table holds NaN")
     if signaling_measure(probs) > tol:
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
     vertices = deterministic_strategy_tables().reshape(16, -1).T  # (16 cells, 16)
@@ -332,9 +319,7 @@ def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainRepor
     error sqrt(var / n) with var = n / (n - 1) * (1 - m^2).
     """
     table = tabulate(log)
-    empty = table.empty_pairs()
-    if empty:
-        raise EmptyCell(f"missing setting coverage: {empty}")
+    table.n()  # raises EmptyCell on an empty setting pair
     if not table.friends_defined():
         raise ValueError("derivation chain needs defined friend outcomes everywhere")
     # N(x, y, a, b, c, d) over defined friend outcomes
@@ -378,6 +363,10 @@ class InequalityReport:
     k: float
     violated: bool
     polytope: PolytopeVerdict
+    # what the statistics above were computed from, each (2, 2)
+    correlators: np.ndarray  # E(x, y)
+    errors: np.ndarray  # SE of E(x, y)
+    n: np.ndarray  # trials per setting pair
 
     def to_dict(self) -> dict:
         return {
@@ -400,11 +389,15 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     (k binomial standard errors on the least-populated cell) so finite logs
     of local models are not flagged infeasible by fluctuation alone.
     """
-    e = expectations(table)
-    s_max, variant = chsh_max_variant(e)
-    s = float(chsh_values(e)[3])
-    se = float(np.sqrt(np.sum(e.errors**2)))
+    n = table.n()
+    e, errors = expectations(table)
+    facets = chsh_values(e)
+    s_max, variant = chsh_max_variant(facets)
+    s = float(facets[3])
+    se = float(np.sqrt(np.sum(errors**2)))
     violated = s_max > CHSH_BOUND + k * se
-    stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(e.n.min()))  # every cell is full
+    stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(n.min()))
     polytope = local_polytope_feasible(table, tol=stat_tol)
-    return InequalityReport(s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope)
+    return InequalityReport(
+        s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope, e, errors, n
+    )

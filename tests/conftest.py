@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from ewfs import qcore
-from ewfs.inequality import _AB_SIGN, ExpectationMatrix, chsh_max_variant, chsh_values
+from ewfs.inequality import _AB_SIGN, chsh_max_variant, chsh_values
 from ewfs.models import RunLog
 from ewfs.scenario import BRUKNER_EWFS, ScenarioSpec
 
@@ -73,11 +73,9 @@ def analytic_quantum_S(
     ``variant="max"`` maximizes over all 8 facet sign placements, which is
     the relevant quantity for polytope membership.
     """
-    values = analytic_expectations(state, spec)
-    n = np.full((2, 2), 10, dtype=np.int64)
-    e = ExpectationMatrix(values, np.zeros((2, 2)), n)
+    facets = chsh_values(analytic_expectations(state, spec))
     if variant == "canonical":
-        return float(chsh_values(e)[3])
+        return float(facets[3])
     if variant == "max":
-        return chsh_max_variant(e)[0]
+        return chsh_max_variant(facets)[0]
     raise ValueError(f"unknown variant {variant!r}")

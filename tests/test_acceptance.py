@@ -14,6 +14,7 @@ from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.inequality import (
     CHSH_BOUND,
     chsh_max_variant,
+    chsh_values,
     evaluate,
     local_polytope_feasible,
     tabulate,
@@ -33,7 +34,6 @@ from ewfs.models import (
 from ewfs.qcore import brukner_state
 from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
 from test_inequality import (
-    ExpectationMatrix,
     _pr_box,
     _table_s_max,
     deterministic_strategy_tables,
@@ -53,10 +53,7 @@ def criterion(number: int, title: str):
 
 
 def _exact_s_max(weights) -> float:
-    e = ExpectationMatrix(
-        lhv_exact_expectations(weights), np.zeros((2, 2)), np.full((2, 2), 10)
-    )
-    return chsh_max_variant(e)[0]
+    return chsh_max_variant(chsh_values(lhv_exact_expectations(weights)))[0]
 
 
 def _sampled_quantum_wings(rng, x, y, alice_angles, bob_angles):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_log
-from ewfs import harness
+from ewfs import harness, inequality
 from ewfs.harness import (
     EXIT_OK,
     EXIT_OUTPUT,
@@ -262,6 +262,25 @@ def test_k_must_be_finite_and_positive(k):
         CampaignConfig(default_scenario(BRUKNER_EWFS, 100), MODEL_LHV, k=k)
 
 
+def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):
+    # report.json reads the correlators that evaluate kept, not a second pass
+    calls = {}
+    for name in ("expectations", "chsh_values"):
+        def counted(*args, _name=name, _fn=getattr(inequality, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(inequality, name, counted)
+    config = CampaignConfig(
+        scenario=default_scenario(BRUKNER_EWFS, 2_000), model=MODEL_LHV, out_dir=tmp_path
+    )
+    result = run_campaign(config)
+    assert calls == {"expectations": 1, "chsh_values": 1}
+    e = result.report["expectations"]["x2y1"]
+    assert e["E"] == result.inequality.correlators[1, 0]
+    assert e["n"] == result.report["per_setting_counts"]["x2y1"]
+
+
 def test_format_selection(tmp_path):
     config = CampaignConfig(
         scenario=default_scenario(BRUKNER_EWFS, 200),
@@ -334,6 +353,14 @@ def test_cli_flags_build_the_config_of_the_same_compare_entry(argv, campaign, tm
     assert config == expected
 
 
+def test_cli_trials_and_seed_default_in_config_from_dict():
+    argv = ["--scenario", "ewfs", "--model", "lhv"]
+    config = harness._single_config(harness._build_parser().parse_args(argv))
+    expected = config_from_dict({"scenario": "ewfs", "model": "lhv", "check_assumptions": False})
+    assert config == expected
+    assert (config.scenario.trials, config.seed) == (10_000, 0)
+
+
 def test_cli_settings_flag_for_bell(tmp_path, capsys):
     code = main(
         [
@@ -363,6 +390,8 @@ def test_cli_usage_errors_exit_2(capsys):
         ["--no-such-flag"],
         # --settings is meaningless for a non-toy EWFS model
         ["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"],
+        # an empty spec is a bad spec, not an absent one
+        ["--scenario", "ewfs", "--model", "toy-theta", "--settings="],
     ):
         assert _usage_error(argv, capsys).count("\n") == 1
 
@@ -598,6 +627,59 @@ def test_cli_compare_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def _lhv_and_collapse_file(tmp_path) -> Path:
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([
+        {"scenario": "ewfs", "model": "lhv", "trials": 500},
+        {"scenario": "ewfs", "model": "collapse", "trials": 500},
+    ]))
+    return path
+
+
+@pytest.mark.parametrize(
+    "fmt,written",
+    [("json", ["report.json"]), ("csv", ["runs.csv"]), ("both", ["report.json", "runs.csv"])],
+)
+def test_cli_compare_honours_format(tmp_path, capsys, fmt, written):
+    path, out = _lhv_and_collapse_file(tmp_path), tmp_path / "out"
+    assert main(["--compare", str(path), "--out", str(out), f"--format={fmt}"]) == EXIT_OK
+    for name in ("lhv", "collapse"):
+        assert sorted(p.name for p in (out / name).iterdir()) == written
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "ewfs"],
+        ["--model", "lhv"],
+        ["--trials", "500"],
+        ["--trials", "0"],
+        ["--seed", "0"],
+        ["--settings", "0,1:0,1"],
+        ["--check-assumptions"],
+        ["--seed", "3", "--trials", "500", "--check-assumptions"],
+    ],
+)
+def test_cli_compare_rejects_single_campaign_flags(tmp_path, capsys, flags):
+    # each campaign of a --compare file sets its own; none may be dropped silently
+    path, out = _lhv_and_collapse_file(tmp_path), tmp_path / "out"
+    err = _usage_error(["--compare", str(path), *flags, "--out", str(out)], capsys)
+    assert err.count("\n") == 1 and flags[0] in err
+    assert not out.exists()
+
+
+def test_cli_trial_count_too_large_to_allocate_exits_2(capsys):
+    # 10**15 trials need petabytes, more than a 47-bit address space holds,
+    # so the first allocation fails before any memory is touched.
+    argv = ["--scenario", "ewfs", "--model", "lhv", f"--trials={10**15}"]
+    err = _usage_error(argv, capsys)
+    assert err.count("\n") == 1 and "memory" in err
+
+
+def test_verdicts_render_as_pass_fail_or_dash():
+    assert [harness._verdict_text(p) for p in (True, False, None)] == ["pass", "fail", "-"]
+
+
 def test_cli_compare(tmp_path, capsys):
     campaigns = [
         {"scenario": "ewfs", "model": "lhv", "trials": 2000, "label": "local"},
@@ -691,10 +773,15 @@ def test_cli_fuzz_ends_in_a_known_exit_code(tmp_path_factory, flags, campaigns, 
     """Every input ends in exit 0, 2 or 3 with at most one stderr line, no
     traceback and no RuntimeWarning."""
     root = tmp_path_factory.mktemp("fuzz")
-    argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
-    if check:
-        argv.append("--check-assumptions")
-    if campaigns is not None:
+    if campaigns is None:
+        argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        if check:
+            argv.append("--check-assumptions")
+    else:
+        # Single-campaign flags next to --compare exit 2 before the file is
+        # read (test_cli_compare_rejects_single_campaign_flags), so only the
+        # flag that --compare shares is drawn here.
+        argv = [f"--format={flags['--format']}"] if flags["--format"] else []
         (root / "campaigns.json").write_text(json.dumps(campaigns))
         argv.append(f"--compare={root / 'campaigns.json'}")
     if out == "blocked":

@@ -9,7 +9,6 @@ from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
     EmptyCell,
-    ExpectationMatrix,
     chsh_max_variant,
     chsh_values,
     deterministic_strategy_tables,
@@ -61,8 +60,7 @@ def _pr_box(e_signs) -> np.ndarray:
 def _table_s_max(probs) -> float:
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
     e = np.einsum("xyab,ab->xy", probs, sign)
-    em = ExpectationMatrix(e, np.zeros((2, 2)), np.full((2, 2), 10))
-    return chsh_max_variant(em)[0]
+    return chsh_max_variant(chsh_values(e))[0]
 
 
 # --- tabulation ------------------------------------------------------------
@@ -77,13 +75,14 @@ def test_tabulate_counts_exactly():
     assert table.total() == 5
     assert table.behavior()[0, 0, 0, 1] == 2  # (x=1,y=1,a=+1,b=-1) twice
     assert table.behavior()[1, 1, 1, 0] == 1
-    assert table.empty_pairs() == []
+    assert table.n().tolist() == [[2, 1], [1, 1]]
 
 
 def test_tabulate_empty_log():
     empty = tabulate(synthetic_log(x=[], y=[], a=[], b=[]))
     assert empty.total() == 0
-    assert len(empty.empty_pairs()) == 4
+    with pytest.raises(EmptyCell, match=r"\[\(1, 1\), \(1, 2\), \(2, 1\), \(2, 2\)\]"):
+        empty.n()
 
 
 def test_tabulate_rejects_settings_outside_two_setting_scenario():
@@ -111,24 +110,42 @@ def test_tabulate_rejects_outcomes_outside_their_values(outcomes):
 def test_expectations_match_direct_average():
     spec = default_scenario(BRUKNER_EWFS, 2_000)
     log = run_trials(spec, MODEL_COLLAPSE, seed=1)
-    e = expectations(tabulate(log))
+    e, se = expectations(tabulate(log))
     for x in (1, 2):
         for y in (1, 2):
             mask = (log.x == x) & (log.y == y)
             direct = float((log.a[mask] * log.b[mask]).astype(float).mean())
-            assert abs(e.values[x - 1, y - 1] - direct) < 1e-12
+            assert abs(e[x - 1, y - 1] - direct) < 1e-12
             n = int(mask.sum())
-            assert abs(
-                e.errors[x - 1, y - 1] - math.sqrt((1 - direct**2) / n)
-            ) < 1e-12
+            assert abs(se[x - 1, y - 1] - math.sqrt((1 - direct**2) / n)) < 1e-12
 
 
-def test_empty_cells_give_nan_and_chsh_raises():
-    log = synthetic_log(x=[1, 1], y=[1, 2], a=[1, 1], b=[1, -1])
-    e = expectations(tabulate(log))
-    assert np.isnan(e.values[1, 0]) and np.isnan(e.values[1, 1])
-    with pytest.raises(EmptyCell):
-        chsh_values(e)
+def test_empty_cells_raise_in_every_reader():
+    # One rule for an empty setting pair: every reader that divides by the
+    # pair totals raises EmptyCell with the same message, never a NaN.
+    ones = [1, 1]
+    log = synthetic_log(x=[1, 1], y=[1, 2], a=ones, b=[1, -1], c=ones, d=ones)
+    table = tabulate(log)
+    readers = [
+        lambda: expectations(table),
+        table.probs,
+        lambda: evaluate(table),
+        lambda: local_polytope_feasible(table),
+        lambda: verify_derivation_chain(log),
+    ]
+    messages = set()
+    for reader in readers:
+        with pytest.raises(EmptyCell) as exc:
+            reader()
+        messages.add(str(exc.value))
+    assert messages == {"no trials for setting pairs [(2, 1), (2, 2)]"}
+
+
+def test_lp_rejects_nan_behavior_arrays():
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        local_polytope_feasible(probs)
 
 
 # --- CHSH facets -----------------------------------------------------------
@@ -136,17 +153,15 @@ def test_empty_cells_give_nan_and_chsh_raises():
 
 def test_canonical_is_variant_three():
     values = np.array([[0.3, -0.2], [0.7, 0.1]])
-    e = ExpectationMatrix(values, np.zeros((2, 2)), np.full((2, 2), 100))
-    assert chsh_values(e)[3] == pytest.approx(0.3 - 0.2 + 0.7 - 0.1)
+    assert chsh_values(values)[3] == pytest.approx(0.3 - 0.2 + 0.7 - 0.1)
 
 
 def test_variants_cover_sign_flips():
     values = np.array([[0.5, 0.4], [-0.3, 0.9]])
-    e = ExpectationMatrix(values, np.zeros((2, 2)), np.full((2, 2), 100))
-    facets = chsh_values(e)
+    facets = chsh_values(values)
     seen = {round(float(v), 12) for v in facets}
     assert len(seen) == 8
-    s_max, variant = chsh_max_variant(e)
+    s_max, variant = chsh_max_variant(facets)
     assert s_max == max(seen)
     assert 0 <= variant < 8
     # global-flip pairing
@@ -192,13 +207,11 @@ def _facet_test_matrices():
 
 
 def test_facet_tensor_matches_the_per_variant_loop_bitwise():
-    n = np.full((2, 2), 10)
     for values in _facet_test_matrices():
-        e = ExpectationMatrix(values, np.zeros((2, 2)), n)
-        facets = chsh_values(e)
+        facets = chsh_values(values)
         expected = np.array(_reference_facets(values))
         assert facets.tobytes() == expected.tobytes(), values
-        s_max, variant = chsh_max_variant(e)
+        s_max, variant = chsh_max_variant(facets)
         ref_max, ref_variant = _reference_max_variant(values)
         assert variant == ref_variant
         assert np.float64(s_max).tobytes() == np.float64(ref_max).tobytes()
@@ -210,10 +223,7 @@ def test_facet_tensor_matches_the_per_variant_loop_bitwise():
 @given(weights=weight_vectors)
 def test_strategy_mixtures_never_violate_chsh(weights):
     w = _normalized(weights)
-    e = ExpectationMatrix(
-        lhv_exact_expectations(w), np.zeros((2, 2)), np.full((2, 2), 10)
-    )
-    s_max, _ = chsh_max_variant(e)
+    s_max, _ = chsh_max_variant(chsh_values(lhv_exact_expectations(w)))
     assert s_max <= CHSH_BOUND + 1e-9
 
 
