@@ -204,10 +204,18 @@ def ewfs_outcome_tables(spec: ScenarioSpec) -> dict:
 
 
 def _sample_discrete(weights, u: np.ndarray) -> np.ndarray:
-    """Index of the weight whose cumulative interval holds each u; a u past
-    the float total (which can fall short of 1) goes to the last nonzero
-    weight, not to a zero-weight tail."""
-    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    """Index of the weight whose cumulative interval holds each u, as int8,
+    over 16 weights; a u past the float total (which can fall short of 1)
+    goes to the last nonzero weight, not to a zero-weight tail.
+
+    The index is searchsorted(cum, u, "right"), the count of cum entries
+    <= u, found by a branch-free binary search: cum never decreases, so a
+    step adds ``step`` exactly when cum[idx + step - 1] <= u.  The four
+    steps stop at 15, which the clip to the last nonzero weight covers."""
+    cum = np.cumsum(weights)
+    idx = np.zeros(u.size, dtype=np.int8)
+    for step in (8, 4, 2, 1):
+        idx += step * (cum[idx + (step - 1)] <= u).view(np.int8)
     return np.minimum(idx, np.flatnonzero(weights)[-1], out=idx)
 
 
@@ -300,11 +308,10 @@ def _sample_toy(spec, xs, ys, u, opts):
 
 def _sample_lhv(spec, xs, ys, u, opts):
     # Strategy s holds (A1, A2, B1, B2) in bits 3, 2, 1, 0, as in lhv_strategies.
-    idx = _sample_discrete(opts.weights, u[:, 0])
-    s = idx.astype(np.int8)
+    s = _sample_discrete(opts.weights, u[:, 0])
     a = _bit_signs(s, 4 - xs)
     b = _bit_signs(s, 2 - ys)
-    lam = {"strategy": idx.astype(np.int16)}
+    lam = {"strategy": s.astype(np.int16)}
     if spec.kind == BRUKNER_EWFS:
         # Friends report the setting-1 values of the strategy table, so
         # superobserver/friend consistency holds by construction.

@@ -215,6 +215,65 @@ def test_csv_rows_match_a_csv_writer_reference(tmp_path, lam):
     assert (tmp_path / "runs.csv").read_bytes() == _csv_writer_reference(log)
 
 
+# Float lambda values whose %.17g text is easy to get wrong: signed zeros,
+# exponent forms, the smallest subnormal and a full 17-digit mantissa.
+_AWKWARD_FLOATS = np.array([0.0, -0.0, 1e-5, 1e16, 5e-324, math.pi])
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        None,
+        {"strategy": (np.arange(144) % 16).astype(np.int16)},
+        {
+            "theta": np.resize(_AWKWARD_FLOATS, 144),
+            "post": np.resize(_AWKWARD_FLOATS[::-1], 144),
+        },
+    ],
+    ids=["none", "int16", "float"],
+)
+@pytest.mark.parametrize("first_trial", [5, 9_990, 99_950, 999_930])
+@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+def test_csv_rows_match_the_reference_across_digit_counts(
+    tmp_path, monkeypatch, lam, first_trial, block
+):
+    # All 144 cells from each first trial: the rows cross from 4 to 5, 5 to
+    # 6 and 6 to 7 digits, inside one default block or across 7-row blocks.
+    if block is not None:
+        monkeypatch.setattr(harness, "CSV_BLOCK", block)
+    cells = list(itertools.product((1, 2), (1, 2), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0)))
+    log = synthetic_log(*zip(*cells), lam=lam)
+    log.first_trial = first_trial
+    harness._write_csv(tmp_path / "runs.csv", log)
+    assert (tmp_path / "runs.csv").read_bytes() == _csv_writer_reference(log)
+
+
+@pytest.mark.parametrize(
+    "model,options",
+    [
+        ("unitary-qm", None),
+        (MODEL_LHV, None),
+        (MODEL_TOY, ToyOptions(bob_angles=(math.pi / 4, 3 * math.pi / 4))),
+    ],
+)
+def test_csv_at_the_benchmark_sizes_matches_the_reference(tmp_path, model, options):
+    # 10,905 trials: more than one default block, and rows numbered from
+    # 10,000 on, which the 3,000-trial golden campaigns never write.
+    trials = 10_905
+    config = CampaignConfig(
+        scenario=default_scenario(BRUKNER_EWFS, trials),
+        model=model,
+        model_options=options,
+        out_dir=tmp_path,
+        formats=("csv",),
+        check_assumptions=False,
+    )
+    result = run_campaign(config)
+    written = (tmp_path / "runs.csv").read_bytes()
+    assert written.count(b"\n") == trials + 1
+    assert written == _csv_writer_reference(result.log)
+
+
 def _per_row_tags(lam, lo, hi):
     """Reference: format every row's lambda values one by one."""
     columns = []
@@ -236,13 +295,17 @@ def _per_row_tags(lam, lo, hi):
         (MODEL_COLLAPSE, None),
     ],
 )
-def test_lambda_tags_match_per_row_formatting(model, options):
+def test_lambda_tags_match_per_row_formatting(tmp_path, monkeypatch, model, options):
     log = run_trials(default_scenario(BRUKNER_EWFS, 3_000), model, seed=3, options=options)
-    for lo, hi in ((0, 3_000), (17, 1_234), (5, 5)):
-        assert harness._lambda_tags(log.lam, lo, hi) == _per_row_tags(log.lam, lo, hi)
+    monkeypatch.setattr(harness, "CSV_BLOCK", 1_234)
+    harness._write_csv(tmp_path / "runs.csv", log)
+    rows = (tmp_path / "runs.csv").read_bytes().decode().split("\r\n")[1:-1]
+    tags = [row.split(",", 7)[7] for row in rows]
+    assert tags == _per_row_tags(log.lam, 0, 3_000)
     if options is not None:
-        posts = set(harness._lambda_tags(log.lam, 0, 3_000)[0].split(";")[1::2])
+        posts = {part for tag in tags for part in tag.split(";")[1::2]}
         assert posts <= {"theta1_post=-0", "theta1_post=0", "theta2_post=-0", "theta2_post=0"}
+        assert "theta1_post=-0" in posts
 
 
 def test_mismatched_options_are_rejected_before_any_output(tmp_path):
@@ -382,7 +445,8 @@ def _usage_error(argv, capsys) -> str:
     return err
 
 
-def test_cli_usage_errors_exit_2(capsys):
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
+    compare = str(_lhv_and_collapse_file(tmp_path))
     for argv in (
         ["--scenario", "ewfs"],  # missing --model
         ["--scenario", "ewfs", "--model", "nope"],
@@ -392,6 +456,9 @@ def test_cli_usage_errors_exit_2(capsys):
         ["--scenario", "ewfs", "--model", "collapse", "--settings", "0,1:0,1"],
         # an empty spec is a bad spec, not an absent one
         ["--scenario", "ewfs", "--model", "toy-theta", "--settings="],
+        # --format picks files under --out; alone it would write nothing
+        ["--scenario", "ewfs", "--model", "lhv", "--format", "csv"],
+        ["--compare", compare, "--format", "json"],
     ):
         assert _usage_error(argv, capsys).count("\n") == 1
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import analytic_expectations, singlet, spin_projectors
-from ewfs import inequality, qcore
+from ewfs import inequality, models, qcore
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
     MODEL_COLLAPSE,
@@ -445,6 +445,31 @@ def test_lhv_never_draws_a_zero_weight_strategy():
     xs = ys = np.ones(u.size, dtype=np.int8)
     *_, lam = _sample_lhv(spec, xs, ys, u[:, None], LhvOptions(weights))
     np.testing.assert_array_equal(lam["strategy"], [0, 9, 9, 9])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (1.0 / 16,) * 16,
+        tuple((i + 1) / 136 for i in range(16)),
+        (0.1,) * 10 + (0.0,) * 6,
+        (0.5,) + (0.0,) * 14 + (0.5,),
+    ],
+    ids=["uniform", "skewed", "zero-tail", "two-point"],
+)
+def test_strategy_search_matches_searchsorted_bitwise(weights):
+    """The gather search against searchsorted(side="right") and the
+    last-nonzero clip, with u on, just below and just above every cumsum
+    value, at 0 and at the largest u below 1."""
+    cum = np.cumsum(weights)
+    edges = np.concatenate(
+        [cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, 1 - 2**-53]]
+    )
+    u = np.concatenate([edges[edges < 1], np.random.default_rng(4).random(10_000)])
+    want = np.minimum(np.searchsorted(cum, u, side="right"), np.flatnonzero(weights)[-1])
+    got = models._sample_discrete(weights, u)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
 
 
 def test_unsupported_combinations_raise():
