@@ -78,8 +78,9 @@ class AssumptionReport:
         return {name: check.to_dict() for name, check in self.checks.items()}
 
 
-def _tv(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.abs(p - q).sum())
+def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total-variation distance between distributions along the last axis."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def _familywise_k(k: float, comparisons: int) -> float:
@@ -137,6 +138,21 @@ def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, Assumpti
     return checks
 
 
+def _verdict(
+    name: str, stat: np.ndarray, threshold: np.ndarray, conclusive: np.ndarray,
+    detail: str, cell_sizes: dict[str, int],
+) -> AssumptionCheck:
+    """The one per-cell rule: the statistic is the max of ``stat`` over the
+    conclusive cells, and the check fails if any of them exceeds its
+    ``threshold``; with no conclusive cell it is inconclusive."""
+    if not conclusive.any():
+        return AssumptionCheck(name, None, None, None, detail, cell_sizes)
+    passed = not (stat > threshold)[conclusive].any()
+    return AssumptionCheck(
+        name, float(stat[conclusive].max()), None, passed, detail, cell_sizes
+    )
+
+
 def _tv_by_settings(
     cells: np.ndarray, k: float, min_cell: int, name: str, detail: str
 ) -> AssumptionCheck:
@@ -144,30 +160,13 @@ def _tv_by_settings(
     from outcome counts per setting pair, shape (2, 2, n_outcomes)."""
     n_xy = cells.sum(axis=2)
     pooled = cells.sum(axis=(0, 1)) / max(int(n_xy.sum()), 1)
-    worst_tv, ok, any_conclusive = 0.0, True, False
-    cell_sizes = {}
-    for xi in np.flatnonzero(n_xy.sum(axis=1)):
-        for yi in np.flatnonzero(n_xy.sum(axis=0)):
-            n = int(n_xy[xi, yi])
-            cell_sizes[f"x{xi + 1}y{yi + 1}"] = n
-            if n < min_cell:
-                continue
-            any_conclusive = True
-            tv = _tv(cells[xi, yi] / n, pooled)
-            worst_tv = max(worst_tv, tv)
-            threshold = k * 0.5 * float(
-                np.sqrt(pooled * (1 - pooled) / n).sum()
-            )
-            if tv > threshold:
-                ok = False
-    return AssumptionCheck(
-        name,
-        statistic=worst_tv if any_conclusive else None,
-        threshold=None,
-        passed=ok if any_conclusive else None,
-        detail=detail,
-        cell_sizes=cell_sizes,
-    )
+    n = np.maximum(n_xy, 1)[:, :, None]  # sub-min_cell cells are masked below
+    tv = _tv(cells / n, pooled)
+    threshold = k * 0.5 * np.sqrt(pooled * (1 - pooled) / n).sum(axis=2)
+    # cell sizes over the rows and the columns that hold trials
+    rows, cols = np.flatnonzero(n_xy.sum(axis=1)), np.flatnonzero(n_xy.sum(axis=0))
+    cell_sizes = {f"x{x + 1}y{y + 1}": int(n_xy[x, y]) for x in rows for y in cols}
+    return _verdict(name, tv, threshold, n_xy >= min_cell, detail, cell_sizes)
 
 
 def _friends_undefined(name: str) -> AssumptionCheck:
@@ -192,6 +191,11 @@ def check_nsd(
     )
 
 
+_WING_CELLS = [  # locality's cells, (wing, c, d, own setting) row-major
+    f"{w}:c{c}d{d}s{s}" for w in "AB" for c in (1, -1) for d in (1, -1) for s in (1, 2)
+]
+
+
 def check_locality(
     table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
 ) -> AssumptionCheck:
@@ -200,40 +204,26 @@ def check_locality(
     if not table.friends_defined():
         return _friends_undefined("locality")
     counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
-    wings = (  # (own setting, distant setting, outcome, c, d)
-        ("A", counts.sum(axis=3)),
-        ("B", counts.sum(axis=2).transpose(1, 0, 2, 3, 4)),
+    # (distant setting, wing, c, d, own setting, outcome): the cells of
+    # _WING_CELLS, each split by the distant setting
+    wings = np.stack([
+        counts.sum(axis=3).transpose(1, 3, 4, 0, 2),  # A: own x, distant y
+        counts.sum(axis=2).transpose(0, 3, 4, 1, 2),  # B: own y, distant x
+    ], axis=1)
+    n1, n2 = wings.sum(axis=5)
+    plus1, plus2 = wings[..., 0]
+    cell_sizes = dict(zip(_WING_CELLS, (n1 + n2).ravel().tolist()))
+    conclusive = np.minimum(n1, n2) >= min_cell
+    k_cell = _familywise_k(k, int(conclusive.sum()))
+    n1, n2 = np.maximum(n1, 1), np.maximum(n2, 1)  # sub-min_cell cells are masked
+    tv = np.abs(plus1 / n1 - plus2 / n2)
+    pooled = (plus1 + plus2) / (n1 + n2)
+    threshold = k_cell * np.sqrt(
+        np.maximum(pooled * (1 - pooled), 1e-12) * (1 / n1 + 1 / n2)
     )
-    cells = []
-    cell_sizes = {}
-    for wing, wing_counts in wings:
-        for ci, cv in enumerate((1, -1)):
-            for di, dv in enumerate((1, -1)):
-                for sv in (1, 2):
-                    by_distant = wing_counts[sv - 1, :, :, ci, di]
-                    n1, n2 = (int(n) for n in by_distant.sum(axis=1))
-                    cell_sizes[f"{wing}:c{cv}d{dv}s{sv}"] = n1 + n2
-                    if min(n1, n2) >= min_cell:
-                        plus1, plus2 = (int(n) for n in by_distant[:, 0])
-                        cells.append((plus1, plus2, n1, n2))
-    k_cell = _familywise_k(k, len(cells))
-    worst_tv, ok, any_conclusive = 0.0, True, bool(cells)
-    for plus1, plus2, n1, n2 in cells:
-        tv = abs(plus1 / n1 - plus2 / n2)
-        pooled = (plus1 + plus2) / (n1 + n2)
-        threshold = k_cell * math.sqrt(
-            max(pooled * (1 - pooled), 1e-12) * (1 / n1 + 1 / n2)
-        )
-        worst_tv = max(worst_tv, tv)
-        if tv > threshold:
-            ok = False
-    return AssumptionCheck(
-        "locality",
-        statistic=worst_tv if any_conclusive else None,
-        threshold=None,
-        passed=ok if any_conclusive else None,
-        detail="max TV shift of a wing's outcome under the distant setting",
-        cell_sizes=cell_sizes,
+    return _verdict(
+        "locality", tv, threshold, conclusive,
+        "max TV shift of a wing's outcome under the distant setting", cell_sizes,
     )
 
 

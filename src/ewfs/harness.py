@@ -28,10 +28,10 @@ from . import inequality
 from .models import (
     MODEL_NAMES,
     MODEL_TOY,
-    MODELS,
     LhvOptions,
     RunLog,
     ToyOptions,
+    model_entry,
     run_trials,
 )
 from .scenario import (
@@ -82,6 +82,7 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self):
+        model_entry(self.scenario.kind, self.model, self.model_options)
         # From k ~ 38.4 the per-cell level in _familywise_k underflows to 0.
         if not (math.isfinite(self.k) and 0 < self.k <= 38):
             raise ValueError(f"k must be a number in (0, 38], got {self.k!r}")
@@ -309,9 +310,7 @@ def config_from_dict(data: dict) -> CampaignConfig:
         scenario = ScenarioSpec(kind, data["alice_settings"], data["bob_settings"], trials)
     else:
         scenario = default_scenario(kind, trials)
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    options_class = MODELS[model].options
+    options_class = model_entry(kind, model)[0].options
     raw_options = _typed(data, "model_options", None, dict, type(None))
     if raw_options and options_class is None:
         raise ValueError(f"model {model!r} takes no options")

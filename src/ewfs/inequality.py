@@ -214,37 +214,32 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def local_polytope_feasible(
-    table: CountTable | np.ndarray, tol: float = LP_TOL
-) -> PolytopeVerdict:
-    """Can a probability mixture of the 16 deterministic strategies reproduce
-    P(a, b | x, y) within ``tol``?  Feasibility certifies the existence of a
-    joint distribution over (A1, A2, B1, B2) with the observed marginals.
-    A table that signals by more than ``tol`` is rejected before the LP.
+# The LP over 16 strategy weights w and a slack t: min t subject to
+# |V w - p| <= t elementwise, w >= 0, sum w = 1, where V stacks the 16
+# vertex behaviors.  Only p changes between calls.
+_VERTICES = deterministic_strategy_tables().reshape(16, -1).T  # (16 cells, 16)
+_LP_COST = np.eye(17)[16]
+_LP_A_UB = np.block([[_VERTICES, -np.ones((16, 1))], [-_VERTICES, -np.ones((16, 1))]])
+_LP_A_EQ = np.append(np.ones(16), 0.0)[None]
+for _array in (_VERTICES, _LP_COST, _LP_A_UB, _LP_A_EQ):
+    _array.setflags(write=False)
 
-    Solves min t  s.t.  |V w - p| <= t elementwise, w >= 0, sum w = 1,
-    where V stacks the 16 vertex behaviors.
+
+def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeVerdict:
+    """Can a probability mixture of the 16 deterministic strategies reproduce
+    P(a, b | x, y), shape (2, 2, 2, 2), within ``tol``?  Feasibility
+    certifies the existence of a joint distribution over (A1, A2, B1, B2)
+    with the observed marginals.  A table that signals by more than ``tol``
+    is rejected before the LP.
     """
-    probs = table.probs() if isinstance(table, CountTable) else np.asarray(table)
     if np.isnan(probs).any():
         raise ValueError("behavior table holds NaN")
     if signaling_measure(probs) > tol:
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
-    vertices = deterministic_strategy_tables().reshape(16, -1).T  # (16 cells, 16)
     p = probs.reshape(-1)
-    n_cells = p.size
-    # variables: 16 weights + slack t
-    c = np.zeros(17)
-    c[16] = 1.0
-    a_ub = np.block(
-        [[vertices, -np.ones((n_cells, 1))], [-vertices, -np.ones((n_cells, 1))]]
-    )
-    b_ub = np.concatenate([p, -p])
-    a_eq = np.zeros((1, 17))
-    a_eq[0, :16] = 1.0
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * 16 + [(0, None)], method="highs",
+        _LP_COST, A_ub=_LP_A_UB, b_ub=np.concatenate([p, -p]), A_eq=_LP_A_EQ,
+        b_eq=[1.0], bounds=(0, None), method="highs",
     )
     if not res.success:
         return PolytopeVerdict(False, None, np.inf, tol, cause="lp-failure")
@@ -397,7 +392,7 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     se = float(np.sqrt(np.sum(errors**2)))
     violated = s_max > CHSH_BOUND + k * se
     stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(n.min()))
-    polytope = local_polytope_feasible(table, tol=stat_tol)
+    polytope = local_polytope_feasible(table.probs(), tol=stat_tol)
     return InequalityReport(
         s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope, e, errors, n
     )

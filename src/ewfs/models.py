@@ -65,6 +65,7 @@ __all__ = [
     "LhvOptions",
     "lhv_strategies",
     "lhv_exact_expectations",
+    "model_entry",
     "run_trials",
     "singlet_joint_probs",
     "ewfs_outcome_tables",
@@ -362,6 +363,22 @@ MODELS = {
 MODEL_NAMES = tuple(MODELS)
 
 
+def model_entry(kind: str, model: str, options=None) -> tuple[Model, object]:
+    """``MODELS[model]`` and its options, the defaults for None.  Checks, in
+    order: the model is known, it runs ``kind``, the options class fits."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    entry = MODELS[model]
+    if kind not in entry.kinds:
+        kinds = " and ".join(name.upper() for name in entry.kinds)
+        raise UnsupportedScenario(f"{model} only models the {kinds} arrangement")
+    expected = entry.options
+    if options is not None and not (expected and isinstance(options, expected)):
+        takes = f"{expected.__name__} or None" if expected else "no options"
+        raise ValueError(f"model {model!r} takes {takes}")
+    return entry, expected() if options is None and expected else options
+
+
 def run_trials(
     spec: ScenarioSpec,
     model: str,
@@ -371,18 +388,7 @@ def run_trials(
     n_trials: int | None = None,
 ) -> RunLog:
     """Run a contiguous block of trials; row i depends only on (seed, i)."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    entry = MODELS[model]
-    if spec.kind not in entry.kinds:
-        kinds = " and ".join(kind.upper() for kind in entry.kinds)
-        raise UnsupportedScenario(f"{model} only models the {kinds} arrangement")
-    expected = entry.options
-    if options is not None and not (expected and isinstance(options, expected)):
-        takes = f"{expected.__name__} or None" if expected else "no options"
-        raise ValueError(f"model {model!r} takes {takes}")
-    if options is None and expected is not None:
-        options = expected()
+    entry, options = model_entry(spec.kind, model, options)
     n_trials = spec.trials - first_trial if n_trials is None else n_trials
     xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
     u = uniform_block(seed, f"model:{model}", n_trials, entry.draws, first_trial)

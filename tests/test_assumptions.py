@@ -13,12 +13,14 @@ from ewfs.assumptions import (
     check_nsd,
     check_settings_independence,
 )
+from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.inequality import tabulate
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_TOY,
     MODEL_UNITARY_QM,
+    MODELS,
     TOY_OPTIMAL_CHSH,
     lhv_strategy_bins,
     run_trials,
@@ -210,3 +212,18 @@ def test_report_serialization():
     }
     for entry in d.values():
         assert {"statistic", "threshold", "passed", "detail", "cell_sizes"} <= set(entry)
+
+
+@pytest.mark.parametrize("kind,model", [
+    (kind, model)
+    for model, entry in MODELS.items() for kind in entry.kinds
+])
+def test_verdicts_are_python_native_types(kind, model):
+    # Dict equality and json.dump(default=np.generic.item) both let a numpy
+    # scalar through, so check the types themselves.
+    result = run_campaign(CampaignConfig(default_scenario(kind, 3_000), model))
+    for check in result.assumptions.checks.values():
+        assert type(check.statistic) in (float, type(None))
+        assert type(check.passed) in (bool, type(None))
+        assert all(type(n) is int for n in check.cell_sizes.values())
+    assert type(result.inequality.polytope.member) is bool

@@ -310,12 +310,11 @@ def test_lambda_tags_match_per_row_formatting(tmp_path, monkeypatch, model, opti
 
 def test_mismatched_options_are_rejected_before_any_output(tmp_path):
     for model, options in ((MODEL_LHV, ToyOptions()), (MODEL_COLLAPSE, object())):
-        config = CampaignConfig(
-            default_scenario(BRUKNER_EWFS, 100), model, model_options=options,
-            out_dir=tmp_path,
-        )
         with pytest.raises(ValueError, match="takes"):
-            run_campaign(config)
+            run_campaign(CampaignConfig(
+                default_scenario(BRUKNER_EWFS, 100), model, model_options=options,
+                out_dir=tmp_path,
+            ))
     assert not list(tmp_path.iterdir())
 
 
@@ -678,6 +677,20 @@ def test_cli_compare_writes_one_directory_per_campaign(tmp_path, capsys):
     assert main(["--compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     written = sorted(p.parent.name for p in (tmp_path / "out").glob("*/report.json"))
     assert written == ["again", "collapse", "lhv"]
+
+
+def test_cli_compare_checks_every_campaign_before_any_runs(tmp_path, capsys):
+    # the second campaign's (scenario, model) pair is unsupported: nothing
+    # may be written for the first
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([
+        {"scenario": "ewfs", "model": "lhv", "trials": 2000, "label": "a"},
+        {"scenario": "bell", "model": "unitary-qm", "trials": 2000, "label": "b"},
+    ]))
+    out = tmp_path / "out"
+    err = _usage_error(["--compare", str(path), "--out", str(out)], capsys)
+    assert err.count("\n") == 1 and "unitary-qm only models the EWFS arrangement" in err
+    assert not out.exists()
 
 
 def test_cli_compare_unwritable_output_exits_3(tmp_path, capsys):

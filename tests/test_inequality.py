@@ -130,7 +130,6 @@ def test_empty_cells_raise_in_every_reader():
         lambda: expectations(table),
         table.probs,
         lambda: evaluate(table),
-        lambda: local_polytope_feasible(table),
         lambda: verify_derivation_chain(log),
     ]
     messages = set()
