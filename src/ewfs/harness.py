@@ -39,6 +39,7 @@ from .scenario import (
     STANDARD_BELL,
     ScenarioSpec,
     default_scenario,
+    sample_settings_block,
 )
 
 EXIT_OK = 0
@@ -200,6 +201,11 @@ def compare_models(configs: list[CampaignConfig]) -> list[dict]:
     """One row per campaign: CHSH statistics plus assumption flags."""
     if len(configs) < 2:
         raise ValueError("comparison needs at least two campaigns")
+    # every campaign's settings cover all four pairs before the first one
+    # runs and writes its files
+    for config in configs:
+        xs, ys = sample_settings_block(config.scenario, config.seed, config.scenario.trials)
+        inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
     rows = []
     for config in configs:
         result = run_campaign(config)

@@ -7,13 +7,16 @@ hull of the 16 deterministic strategy tables.  A behavior lies inside it iff
 a joint distribution over all four setting-outcomes exists, iff every one of
 the 8 CHSH sign variants stays at or below 2.  Both routes are implemented
 (LP feasibility and direct facet evaluation) and cross-checked in tests.
+The LP is one HiGHS model, built on the first solve through scipy's HiGHS
+bindings; each solve sets only its right-hand side, the behavior.
 
 Every statistic here, and every assumption check, reads one ``CountTable``:
 the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
 run log in a single pass over each trial's ``cell_key``.  Its setting-pair
 totals come from ``CountTable.n``, which raises ``EmptyCell`` on an empty
-pair.  ``evaluate`` computes the (2, 2) correlator and SE arrays and the 8
-facet values once each, and its ``InequalityReport`` carries them.
+pair through ``pair_totals``.  ``evaluate`` computes the (2, 2) correlator
+and SE arrays and the 8 facet values once each, and its ``InequalityReport``
+carries them.
 
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
@@ -21,6 +24,7 @@ canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +39,7 @@ __all__ = [
     "CHSH_BOUND",
     "EmptyCell",
     "CountTable",
+    "pair_totals",
     "PolytopeVerdict",
     "IdentityCheck",
     "DerivationChainReport",
@@ -53,6 +58,15 @@ __all__ = [
 
 class EmptyCell(ValueError):
     """A required setting-pair cell holds no trials."""
+
+
+def pair_totals(n: np.ndarray) -> np.ndarray:
+    """The (2, 2) trial totals ``n`` per setting pair, checked: the one place
+    that raises ``EmptyCell``, naming every empty pair."""
+    if not n.all():
+        empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
+        raise EmptyCell(f"no trials for setting pairs {empty}")
+    return n
 
 
 _AB_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
@@ -75,13 +89,9 @@ class CountTable:
         return self.counts.sum(axis=(4, 5, 6))
 
     def n(self) -> np.ndarray:
-        """Trial totals per setting pair, shape (2, 2); the one place that
-        raises ``EmptyCell``, naming every empty pair."""
-        n = self.counts.sum(axis=(2, 3, 4, 5, 6))
-        if not n.all():
-            empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
-            raise EmptyCell(f"no trials for setting pairs {empty}")
-        return n
+        """Trial totals per setting pair, shape (2, 2), through
+        ``pair_totals``."""
+        return pair_totals(self.counts.sum(axis=(2, 3, 4, 5, 6)))
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -206,23 +216,76 @@ class PolytopeVerdict:
         }
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: importing
-    scipy.optimize takes longer than importing the rest of the package."""
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
-
-
 # The LP over 16 strategy weights w and a slack t: min t subject to
 # |V w - p| <= t elementwise, w >= 0, sum w = 1, where V stacks the 16
-# vertex behaviors.  Only p changes between calls.
+# vertex behaviors.  Rows 0..31 are V w - t <= p and -V w - t <= -p; row 32
+# is sum w = 1.  Only the upper bounds of rows 0..31 change between calls.
 _VERTICES = deterministic_strategy_tables().reshape(16, -1).T  # (16 cells, 16)
 _LP_COST = np.eye(17)[16]
 _LP_A_UB = np.block([[_VERTICES, -np.ones((16, 1))], [-_VERTICES, -np.ones((16, 1))]])
 _LP_A_EQ = np.append(np.ones(16), 0.0)[None]
 for _array in (_VERTICES, _LP_COST, _LP_A_UB, _LP_A_EQ):
     _array.setflags(write=False)
+# scipy.optimize.linprog's check of a HiGHS optimum: sqrt(tol) * 10 at tol 1e-9
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+@functools.cache
+def _highs_model():
+    """The HiGHS bindings, the LP as a ``HighsLp`` and the ``HighsOptions``
+    that ``scipy.optimize.linprog`` passes for ``method="highs"``.  Built on
+    the first solve: importing scipy.optimize takes longer than importing the
+    rest of the package."""
+    from scipy.optimize._highspy import _core as highs
+
+    a = np.vstack([_LP_A_UB, _LP_A_EQ])
+    cols, rows = np.nonzero(a.T)  # the nonzeros in column-major order
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(a.shape[1] + 1))
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a[rows, cols]
+    lp.col_cost_ = _LP_COST
+    lp.col_lower_ = np.zeros(a.shape[1])
+    lp.col_upper_ = np.full(a.shape[1], highs.kHighsInf)
+    lp.row_lower_ = np.append(np.full(len(_LP_A_UB), -highs.kHighsInf), 1.0)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return highs, lp, options
+
+
+def linprog(p: np.ndarray) -> np.ndarray | None:
+    """Solve the LP for the flat behavior ``p`` (16 cells): the prebuilt
+    model with row upper bounds [p, -p, 1], on a fresh HiGHS instance so that
+    no earlier solve steers this one.  Returns (w, t), or None unless HiGHS
+    reports an optimum that passes scipy.optimize.linprog's check: no NaN,
+    w, t >= -tol, inequality slack >= -tol, |sum w - 1| <= tol.  The shared
+    model's bounds are set per call, so one thread at a time may solve."""
+    highs, lp, options = _highs_model()
+    rhs = np.concatenate([p, -p, [1.0]])
+    lp.row_upper_ = rhs
+    solver = highs._Highs()
+    statuses = (solver.passOptions(options), solver.passModel(lp), solver.run())
+    if (
+        highs.HighsStatus.kError in statuses
+        or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
+    ):
+        return None
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - solution.row_value
+    feasible = (
+        not math.isnan(solver.getInfo().objective_function_value)
+        and (x >= -_LP_CHECK_TOL).all()
+        and (slack[:-1] >= -_LP_CHECK_TOL).all()
+        and abs(slack[-1]) <= _LP_CHECK_TOL
+    )
+    return x if feasible else None
 
 
 def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeVerdict:
@@ -236,18 +299,14 @@ def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeV
         raise ValueError("behavior table holds NaN")
     if signaling_measure(probs) > tol:
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
-    p = probs.reshape(-1)
-    res = linprog(
-        _LP_COST, A_ub=_LP_A_UB, b_ub=np.concatenate([p, -p]), A_eq=_LP_A_EQ,
-        b_eq=[1.0], bounds=(0, None), method="highs",
-    )
-    if not res.success:
+    x = linprog(probs.reshape(-1))
+    if x is None:
         return PolytopeVerdict(False, None, np.inf, tol, cause="lp-failure")
-    residual = float(res.x[16])
+    residual = float(x[16])
     member = residual <= tol
     return PolytopeVerdict(
         member,
-        res.x[:16] if member else None,
+        x[:16] if member else None,
         residual,
         tol,
         cause=None if member else "chsh",

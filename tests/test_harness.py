@@ -693,6 +693,20 @@ def test_cli_compare_checks_every_campaign_before_any_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_compare_checks_every_setting_pair_before_any_runs(tmp_path, capsys):
+    # three trials cannot fill the four setting pairs of campaign b: nothing
+    # may be written for campaign a
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([
+        {"scenario": "ewfs", "model": "lhv", "trials": 2000, "label": "a"},
+        {"scenario": "ewfs", "model": "lhv", "trials": 3, "label": "b"},
+    ]))
+    out = tmp_path / "out"
+    err = _usage_error(["--compare", str(path), "--out", str(out)], capsys)
+    assert err == "ewfs: error: no trials for setting pairs [(1, 1), (1, 2)]\n"
+    assert not out.exists()
+
+
 def test_cli_compare_unwritable_output_exits_3(tmp_path, capsys):
     campaigns = [
         {"scenario": "ewfs", "model": "lhv", "trials": 500},
@@ -894,14 +908,25 @@ def _python(*args):
 
 
 def test_harness_import_leaves_scipy_stats_out():
-    # scipy.optimize is imported by the first LP, not by the import
+    # No scipy module is loaded by the import; the first LP builds the HiGHS
+    # model, and the second campaign's LP reuses it.
     done = _python(
         "-c",
-        "import sys, ewfs.harness; "
-        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'csv')))",
+        "import sys, ewfs.harness as h; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'csv' in sys.modules); "
+        "runs = [h.run_campaign(h.config_from_dict("
+        "{'scenario': 'ewfs', 'model': m, 'trials': 3000})) for m in ('lhv', 'unitary-qm')]; "
+        "print([r.inequality.polytope.cause for r in runs], "
+        "h.inequality._highs_model.cache_info())",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False False"
+    imported, campaigns = done.stdout.splitlines()
+    assert imported == "[] False"
+    # both campaigns reach the LP (cause None or "chsh"), and one model serves them
+    assert campaigns == (
+        "[None, 'chsh'] CacheInfo(hits=1, misses=1, maxsize=None, currsize=1)"
+    )
 
 
 def test_module_entry_point_runs_without_runtime_warning():

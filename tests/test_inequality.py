@@ -9,6 +9,7 @@ from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
     EmptyCell,
+    PolytopeVerdict,
     chsh_max_variant,
     chsh_values,
     deterministic_strategy_tables,
@@ -22,13 +23,15 @@ from ewfs.inequality import (
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
+    MODEL_TOY,
     MODEL_UNITARY_QM,
     LhvOptions,
+    ToyOptions,
     lhv_exact_expectations,
     run_trials,
 )
 from ewfs.qcore import brukner_state
-from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, default_scenario
+from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, ScenarioSpec, default_scenario
 
 weight_vectors = st.lists(
     st.floats(0.0, 1.0, allow_nan=False), min_size=16, max_size=16
@@ -284,6 +287,57 @@ def test_membership_matches_facets_on_random_no_signaling_boxes():
         verdict = local_polytope_feasible(probs, tol=1e-7)
         facet_member = _table_s_max(probs) <= CHSH_BOUND + 1e-7
         assert verdict.member == facet_member
+
+
+def _reference_lp(p):
+    """The local-polytope LP through the public scipy.optimize.linprog."""
+    from scipy.optimize import linprog
+
+    return linprog(
+        inequality._LP_COST, A_ub=inequality._LP_A_UB, b_ub=np.concatenate([p, -p]),
+        A_eq=inequality._LP_A_EQ, b_eq=[1.0], bounds=(0, None), method="highs",
+    )
+
+
+def test_direct_lp_matches_scipy_linprog_bitwise():
+    # inequality.linprog solves the prebuilt HiGHS model through scipy's
+    # private bindings; scipy.optimize.linprog on the same LP is the
+    # reference, to the last bit of x and the success flag.
+    rng = np.random.default_rng(15)
+    vertices = deterministic_strategy_tables()
+    behaviors = list(vertices)
+    behaviors += [np.tensordot(rng.dirichlet(np.full(16, 0.3)), vertices, axes=(0, 0))
+                  for _ in range(40)]
+    # P(a, b | x, y) = (1 + ab E(x, y)) / 4 at the Tsirelson correlators
+    e = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    tsirelson = (1 + e[:, :, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 4
+    for v in np.linspace(0.0, 1.0, 11):
+        local = np.tensordot(rng.dirichlet(np.ones(16)), vertices, axes=(0, 0))
+        behaviors += [v * box + (1 - v) * local for box in (_pr_box([[1, 1], [1, -1]]), tsirelson)]
+    for phi in [i * math.pi / 16 for i in range(16)]:
+        bell = ScenarioSpec(STANDARD_BELL, (0.0, math.pi / 2), (phi, phi + math.pi / 2), 2000)
+        toy = ToyOptions(alice_angles=(0.0, math.pi / 2), bob_angles=(phi, phi + math.pi / 2))
+        for log in (
+            run_trials(bell, MODEL_COLLAPSE, seed=15),
+            run_trials(default_scenario(BRUKNER_EWFS, 2000), MODEL_TOY, seed=15, options=toy),
+        ):
+            behaviors.append(tabulate(log).probs())
+    residuals = []
+    for probs in behaviors:
+        p = probs.reshape(-1)
+        x, reference = inequality.linprog(p), _reference_lp(p)
+        assert (x is not None) == reference.success
+        # every one of these LPs is solvable, so both return an x
+        assert reference.success and x.tobytes() == reference.x.tobytes()
+        residuals.append(x[16])
+    # members and chsh non-members alike
+    assert min(residuals) < 1e-9 and max(residuals) > 0.1
+
+
+def test_lp_failure_is_reported_as_a_non_member(monkeypatch):
+    monkeypatch.setattr(inequality, "linprog", lambda p: None)
+    verdict = local_polytope_feasible(deterministic_strategy_tables()[0], tol=1e-3)
+    assert verdict == PolytopeVerdict(False, None, math.inf, 1e-3, "lp-failure")
 
 
 # --- analytic quantum predictions ------------------------------------------
