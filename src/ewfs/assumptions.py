@@ -106,7 +106,7 @@ def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, Assumpti
     _require_min_cell(min_cell)
     checks = {}
     total = table.total()
-    counts = table.counts.sum(axis=6)  # (x, y, a, b, c, d)
+    counts = table.cells  # (x, y, a, b, c, d)
     defined = int(counts[:, :, :, :, :2, :2].sum())
     checks["aoe_i"] = AssumptionCheck(
         "aoe_i",
@@ -184,7 +184,7 @@ def check_nsd(
     if not table.friends_defined():
         return _friends_undefined("nsd")
     # outcome 2 * c + d per (x, y)
-    cd = table.counts.sum(axis=(2, 3, 6))[:, :, :2, :2].reshape(2, 2, 4)
+    cd = table.cells.sum(axis=(2, 3))[:, :, :2, :2].reshape(2, 2, 4)
     return _tv_by_settings(
         cd, k, min_cell, "nsd",
         "max TV distance of P(C,D | x,y) from pooled P(C,D)",
@@ -203,7 +203,7 @@ def check_locality(
     _require_min_cell(min_cell)
     if not table.friends_defined():
         return _friends_undefined("locality")
-    counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
+    counts = table.cells[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
     # (distant setting, wing, c, d, own setting, outcome): the cells of
     # _WING_CELLS, each split by the distant setting
     wings = np.stack([

@@ -183,12 +183,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if "csv" in config.formats:
             _write_csv(out / "runs.csv", log)
         if "json" in config.formats:
-            with (out / "report.json").open("w") as handle:
-                # a numpy setting or angle is echoed as the Python number it holds
-                json.dump(
-                    report, handle, indent=2, sort_keys=True, default=np.generic.item
-                )
-                handle.write("\n")
+            # one write; a numpy setting or angle is echoed as the Python
+            # number it holds
+            text = json.dumps(report, indent=2, sort_keys=True, default=np.generic.item)
+            (out / "report.json").write_text(text + "\n")
     return CampaignResult(config, log, ineq, assum, report)
 
 

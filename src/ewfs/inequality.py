@@ -7,8 +7,9 @@ hull of the 16 deterministic strategy tables.  A behavior lies inside it iff
 a joint distribution over all four setting-outcomes exists, iff every one of
 the 8 CHSH sign variants stays at or below 2.  Both routes are implemented
 (LP feasibility and direct facet evaluation) and cross-checked in tests.
-The LP is one HiGHS model, built on the first solve through scipy's HiGHS
-bindings; each solve sets only its right-hand side, the behavior.
+The LP is one HiGHS model and one HiGHS solver, built on the first solve
+through scipy's HiGHS bindings; each solve passes the model with its new
+right-hand side, the behavior, and starts from no basis.
 
 Every statistic here, and every assumption check, reads one ``CountTable``:
 the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
@@ -84,17 +85,24 @@ class CountTable:
     counts: np.ndarray  # int64, shape (2, 2, 2, 2, 3, 3, n_bins)
     binned: bool
 
+    def __post_init__(self):
+        # N(x, y, a, b, c, d), shape (2, 2, 2, 2, 3, 3): the lambda marginal
+        # that every reader but the settings-independence check starts from,
+        # summed once.  Integer sums, so no reader's result depends on it.
+        self.cells = self.counts.sum(axis=6)
+        self.cells.setflags(write=False)
+
     def behavior(self) -> np.ndarray:
         """N(a, b | x, y), shape (2, 2, 2, 2)."""
-        return self.counts.sum(axis=(4, 5, 6))
+        return self.cells.sum(axis=(4, 5))
 
     def n(self) -> np.ndarray:
         """Trial totals per setting pair, shape (2, 2), through
         ``pair_totals``."""
-        return pair_totals(self.counts.sum(axis=(2, 3, 4, 5, 6)))
+        return pair_totals(self.cells.sum(axis=(2, 3, 4, 5)))
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.cells.sum())
 
     def probs(self) -> np.ndarray:
         """P(a, b | x, y), shape (2, 2, 2, 2)."""
@@ -102,7 +110,7 @@ class CountTable:
 
     def friends_defined(self) -> bool:
         """No trial leaves C or D undefined."""
-        return int(self.counts[:, :, :, :, :2, :2].sum()) == self.total()
+        return int(self.cells[:, :, :, :, :2, :2].sum()) == self.total()
 
 
 def cell_key(log: RunLog) -> np.ndarray:
@@ -232,10 +240,10 @@ _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
 @functools.cache
 def _highs_model():
-    """The HiGHS bindings, the LP as a ``HighsLp`` and the ``HighsOptions``
-    that ``scipy.optimize.linprog`` passes for ``method="highs"``.  Built on
-    the first solve: importing scipy.optimize takes longer than importing the
-    rest of the package."""
+    """The HiGHS bindings, the LP as a ``HighsLp`` and a HiGHS solver that
+    holds the ``HighsOptions`` ``scipy.optimize.linprog`` passes for
+    ``method="highs"``.  Built on the first solve: importing scipy.optimize
+    takes longer than importing the rest of the package."""
     from scipy.optimize._highspy import _core as highs
 
     a = np.vstack([_LP_A_UB, _LP_A_EQ])
@@ -256,21 +264,26 @@ def _highs_model():
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return highs, lp, options
+    solver = highs._Highs()
+    if solver.passOptions(options) == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the linprog options")
+    return highs, lp, solver
 
 
 def linprog(p: np.ndarray) -> np.ndarray | None:
-    """Solve the LP for the flat behavior ``p`` (16 cells): the prebuilt
-    model with row upper bounds [p, -p, 1], on a fresh HiGHS instance so that
-    no earlier solve steers this one.  Returns (w, t), or None unless HiGHS
-    reports an optimum that passes scipy.optimize.linprog's check: no NaN,
-    w, t >= -tol, inequality slack >= -tol, |sum w - 1| <= tol.  The shared
-    model's bounds are set per call, so one thread at a time may solve."""
-    highs, lp, options = _highs_model()
+    """Solve the LP for the flat, finite behavior ``p`` (16 cells): the
+    prebuilt model with row upper bounds [p, -p, 1].  ``passModel`` clears
+    the shared solver's basis and solution, so no earlier solve steers this
+    one.  Returns (w, t), or None unless HiGHS reports an optimum that passes
+    scipy.optimize.linprog's check: no NaN, w, t >= -tol, inequality slack
+    >= -tol, |sum w - 1| <= tol.  The shared model and solver change per
+    call, so one thread at a time may solve."""
+    if not np.isfinite(p).all():
+        raise ValueError("behavior holds NaN or infinity")
+    highs, lp, solver = _highs_model()
     rhs = np.concatenate([p, -p, [1.0]])
     lp.row_upper_ = rhs
-    solver = highs._Highs()
-    statuses = (solver.passOptions(options), solver.passModel(lp), solver.run())
+    statuses = (solver.passModel(lp), solver.run())
     if (
         highs.HighsStatus.kError in statuses
         or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
@@ -295,8 +308,8 @@ def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeV
     with the observed marginals.  A table that signals by more than ``tol``
     is rejected before the LP.
     """
-    if np.isnan(probs).any():
-        raise ValueError("behavior table holds NaN")
+    if not np.isfinite(probs).all():
+        raise ValueError("behavior holds NaN or infinity")
     if signaling_measure(probs) > tol:
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
     x = linprog(probs.reshape(-1))
@@ -377,7 +390,7 @@ def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainRepor
     if not table.friends_defined():
         raise ValueError("derivation chain needs defined friend outcomes everywhere")
     # N(x, y, a, b, c, d) over defined friend outcomes
-    counts = table.counts.sum(axis=6)[:, :, :, :, :2, :2]
+    counts = table.cells[:, :, :, :, :2, :2]
 
     def corr(pair: str, xv: int, yv: int) -> tuple[float, float]:
         i, j = ("ABCD".index(side) for side in pair)

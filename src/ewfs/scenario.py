@@ -12,10 +12,14 @@ Two scenario kinds are supported:
 Settings are sampled from a dedicated random stream keyed
 (seed, "settings", trial index), disjoint from every model stream, so the
 choice of settings is independent of all hidden state by construction.
+The stream ignores the scenario and the model, so campaigns at one seed and
+trial range share one draw: ``sample_settings_block`` keeps the last block,
+read-only, and returns it again for the same (seed, trials, first trial).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -92,11 +96,23 @@ def sample_settings_block(
     first_trial: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform i.i.d. settings (x, y) for trials [first_trial, first_trial +
-    n_trials): two int8 arrays with values in {1, 2}.  Each trial's pair
-    2(x - 1) + (y - 1) is floor(4u) of its one settings-stream draw."""
+    n_trials): two read-only int8 arrays with values in {1, 2}.  Each
+    trial's pair 2(x - 1) + (y - 1) is floor(4u) of its one settings-stream
+    draw."""
     if first_trial < 0 or first_trial + n_trials > spec.trials:
         raise IndexError("trial range outside spec.trials")
+    return _settings_block(seed, n_trials, first_trial)
+
+
+# One entry: the campaigns of a sweep or a comparison run one after another
+# at one seed, and the run log of the last one holds these arrays anyway.
+# ``typed`` keeps seed 1 and seed True apart: the stream key is f"{seed}".
+@functools.lru_cache(maxsize=1, typed=True)
+def _settings_block(seed: int, n_trials: int, first_trial: int):
     u = uniform_block(seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
     u *= 4
     pair = np.minimum(u.astype(np.int8), 3)
-    return (pair >> 1) + 1, (pair & 1) + 1
+    xs, ys = (pair >> 1) + 1, (pair & 1) + 1
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys

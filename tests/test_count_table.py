@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import synthetic_log
 from ewfs.assumptions import (
@@ -23,13 +24,14 @@ from ewfs.assumptions import (
     check_nsd,
     check_settings_independence,
 )
-from ewfs.inequality import EmptyCell, tabulate, verify_derivation_chain
+from ewfs.inequality import CountTable, EmptyCell, tabulate, verify_derivation_chain
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
     MODEL_NAMES,
     MODEL_TOY,
     MODELS,
+    LAMBDA_BINS,
     UNDEFINED,
     UnsupportedScenario,
     run_trials,
@@ -354,3 +356,35 @@ def test_table_axes_and_lambda_bins():
     )
     with pytest.raises(ValueError, match="lambda bins"):
         tabulate(bad)
+
+
+@given(
+    n_bins=st.integers(1, LAMBDA_BINS),
+    seed=st.integers(0, 2**32 - 1),
+    friends_defined=st.booleans(),
+)
+def test_cached_cells_equal_direct_sums(n_bins, seed, friends_defined):
+    # Every reader takes the (x, y, a, b, c, d) marginal that the table sums
+    # once; each must read what summing the counts directly gives.
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 2**40, size=(2, 2, 2, 2, 3, 3, n_bins))
+    counts[rng.random((2, 2)) < 0.2] = 0  # some empty setting pairs
+    counts[rng.random(counts.shape) < rng.random()] = 0
+    if friends_defined:
+        counts[:, :, :, :, 2] = counts[:, :, :, :, :, 2] = 0
+    original = counts.copy()
+    table = CountTable(counts, n_bins > 1)
+    np.testing.assert_array_equal(table.cells, counts.sum(axis=6))
+    assert not table.cells.flags.writeable
+    np.testing.assert_array_equal(table.behavior(), counts.sum(axis=(4, 5, 6)))
+    pairs = counts.sum(axis=(2, 3, 4, 5, 6))
+    if pairs.all():
+        np.testing.assert_array_equal(table.n(), pairs)
+    else:
+        with pytest.raises(EmptyCell):
+            table.n()
+    assert table.total() == int(counts.sum())
+    defined = int(counts[:, :, :, :, :2, :2].sum()) == int(counts.sum())
+    assert table.friends_defined() == defined
+    assert defined or not friends_defined
+    np.testing.assert_array_equal(counts, original)

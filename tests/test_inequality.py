@@ -1,4 +1,9 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,11 +148,36 @@ def test_empty_cells_raise_in_every_reader():
     assert messages == {"no trials for setting pairs [(2, 1), (2, 2)]"}
 
 
+_NON_FINITE_CALLS = [
+    f"{call}(np.full({shape}, {value}))"
+    for call, shape in (("local_polytope_feasible", "(2, 2, 2, 2)"), ("linprog", "16"))
+    for value in ("np.nan", "np.inf", "-np.inf")
+] + [  # one infinite cell, which the signaling pre-check would take for signaling
+    "p = np.full((2, 2, 2, 2), 0.25); p[0, 0, 0, 0] = np.inf; local_polytope_feasible(p)",
+]
+
+
 def test_lp_rejects_nan_behavior_arrays():
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[1, 1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         local_polytope_feasible(probs)
+    # HiGHS given a non-finite bound can kill the interpreter, so each call
+    # runs in a child of its own
+    src = str(Path(inequality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for call in _NON_FINITE_CALLS:
+        code = (
+            "import numpy as np\n"
+            "from ewfs.inequality import linprog, local_polytope_feasible\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (0, "behavior holds NaN or infinity\n"), (
+            call, done.returncode, done.stderr
+        )
 
 
 # --- CHSH facets -----------------------------------------------------------
@@ -299,10 +329,10 @@ def _reference_lp(p):
     )
 
 
-def test_direct_lp_matches_scipy_linprog_bitwise():
-    # inequality.linprog solves the prebuilt HiGHS model through scipy's
-    # private bindings; scipy.optimize.linprog on the same LP is the
-    # reference, to the last bit of x and the success flag.
+@functools.cache
+def _lp_behaviors() -> list[np.ndarray]:
+    """Vertices, Dirichlet mixtures, PR-box and Tsirelson mixtures, and the
+    count tables of a 16-angle bell/collapse and ewfs/toy-theta scan."""
     rng = np.random.default_rng(15)
     vertices = deterministic_strategy_tables()
     behaviors = list(vertices)
@@ -322,16 +352,36 @@ def test_direct_lp_matches_scipy_linprog_bitwise():
             run_trials(default_scenario(BRUKNER_EWFS, 2000), MODEL_TOY, seed=15, options=toy),
         ):
             behaviors.append(tabulate(log).probs())
+    return behaviors
+
+
+def test_direct_lp_matches_scipy_linprog_bitwise():
+    # inequality.linprog solves the prebuilt HiGHS model through scipy's
+    # private bindings; scipy.optimize.linprog on the same LP is the
+    # reference, to the last bit of x and the success flag.  The behaviors
+    # run forward and then reversed: the one shared HiGHS solver must carry
+    # nothing from one solve into the next.
+    behaviors = [probs.reshape(-1) for probs in _lp_behaviors()]
+    references = [_reference_lp(p) for p in behaviors]
     residuals = []
-    for probs in behaviors:
-        p = probs.reshape(-1)
-        x, reference = inequality.linprog(p), _reference_lp(p)
-        assert (x is not None) == reference.success
-        # every one of these LPs is solvable, so both return an x
-        assert reference.success and x.tobytes() == reference.x.tobytes()
-        residuals.append(x[16])
+    for order in (range(len(behaviors)), range(len(behaviors) - 1, -1, -1)):
+        for i in order:
+            x, reference = inequality.linprog(behaviors[i]), references[i]
+            assert (x is not None) == reference.success
+            # every one of these LPs is solvable, so both return an x
+            assert reference.success and x.tobytes() == reference.x.tobytes()
+            residuals.append(x[16])
     # members and chsh non-members alike
     assert min(residuals) < 1e-9 and max(residuals) > 0.1
+
+
+def test_a_failed_solve_leaves_the_next_one_unchanged():
+    # Bounds of 1e300 are finite but beyond HiGHS's infinity: the LP is
+    # infeasible, and the shared solver then solves the next LP as new.
+    for probs in _lp_behaviors()[::9]:
+        assert inequality.linprog(np.full(16, 1e300)) is None
+        p = probs.reshape(-1)
+        assert inequality.linprog(p).tobytes() == _reference_lp(p).x.tobytes()
 
 
 def test_lp_failure_is_reported_as_a_non_member(monkeypatch):

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
+from ewfs import scenario
+from ewfs.models import MODEL_NAMES, run_trials
 from ewfs.scenario import (
     BRUKNER_EWFS,
     DEFAULT_BELL_ALICE,
     DEFAULT_BELL_BOB,
+    SETTINGS_STREAM,
     STANDARD_BELL,
     ScenarioSpec,
     default_scenario,
     sample_settings_block,
 )
+from ewfs.streams import uniform_block
+from test_models import _ref_settings
 
 
 def test_default_scenarios():
@@ -93,3 +99,78 @@ def test_uniform_settings_are_uniform():
     result = stats.chisquare(counts)
     assert result.pvalue > 0.001
     assert np.all(np.abs(counts / 100_000 - 0.25) < 0.01)
+
+
+# --- the settings memo -----------------------------------------------------
+
+
+# seed True is a different stream from seed 1 ("True:settings"), and
+# np.int64(1) the same one
+@given(keys=st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, True, np.int64(1), 2]), st.integers(1, 40), st.integers(0, 10)
+    ),
+    min_size=1, max_size=8,
+))
+def test_memo_returns_a_fresh_draw_for_every_key(keys):
+    spec = default_scenario(BRUKNER_EWFS, 50)
+    for seed, n, first in keys:
+        xs, ys = sample_settings_block(spec, seed, n, first)
+        ref_x, ref_y = _ref_settings(None, seed, n, first)
+        assert xs.dtype == ys.dtype == np.int8
+        np.testing.assert_array_equal(xs, ref_x)
+        np.testing.assert_array_equal(ys, ref_y)
+
+
+def test_memo_arrays_are_read_only():
+    xs, ys = sample_settings_block(default_scenario(BRUKNER_EWFS, 20), 5, 20)
+    for column in (xs, ys):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            column += 1
+    again = sample_settings_block(default_scenario(STANDARD_BELL, 20), 5, 20)
+    np.testing.assert_array_equal(again[0], _ref_settings(None, 5, 20, 0)[0])
+
+
+def test_campaigns_at_one_seed_share_one_settings_draw(monkeypatch):
+    draws = []
+
+    def counted(seed, label, *args):
+        draws.append(label)
+        return uniform_block(seed, label, *args)
+
+    monkeypatch.setattr(scenario, "uniform_block", counted)
+    scenario._settings_block.cache_clear()
+    spec = default_scenario(BRUKNER_EWFS, 300)
+    for model in MODEL_NAMES:
+        run_trials(spec, model, seed=8)
+    assert draws == [SETTINGS_STREAM]
+    # the range check runs on every call, memo or not
+    with pytest.raises(IndexError):
+        sample_settings_block(default_scenario(BRUKNER_EWFS, 299), 8, 300)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_run_trials_blocks_are_byte_identical_across_splits(model):
+    # Each block runs twice with another seed's block in between, so it is
+    # a memo miss and then a hit: neither changes a byte.
+    spec = default_scenario(BRUKNER_EWFS, 2_000)
+
+    def columns(log):
+        return [
+            column.tobytes()
+            for column in (log.x, log.y, log.a, log.b, log.c, log.d, *log.lam.values())
+        ]
+
+    whole = columns(run_trials(spec, model, seed=6))
+    for splits in ((0, 1, 2_000), (0, 700, 1_300, 2_000)):
+        parts = []
+        for lo, hi in zip(splits, splits[1:]):
+            for _ in range(2):
+                run_trials(spec, model, seed=7, first_trial=lo, n_trials=hi - lo)
+                parts.append(columns(
+                    run_trials(spec, model, seed=6, first_trial=lo, n_trials=hi - lo)
+                ))
+        assert [b"".join(c) for c in zip(*parts[0::2])] == whole
+        assert parts[0::2] == parts[1::2]
