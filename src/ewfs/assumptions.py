@@ -16,8 +16,9 @@ Every check reads the count table N(x, y, a, b, c, d, lambda-bin) that
   of the model's binner in ``models.MODELS``) is independent of the settings.
 
 Distribution comparisons use total-variation distance with a threshold of
-k binomial standard errors; conditioning cells under ``min_cell`` trials are
-flagged inconclusive rather than pass/fail.
+k binomial standard errors; conditioning cells under ``MIN_CELL`` trials are
+flagged inconclusive rather than pass/fail.  Every verdict is
+``inequality.decide``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .inequality import CountTable
+from .inequality import CountTable, decide
 
 MIN_CELL = 100
 
@@ -50,7 +51,6 @@ class AssumptionCheck:
     applicable; ``statistic`` is an agreement frequency or a max TV distance,
     always in [0, 1] when defined."""
 
-    name: str
     statistic: float | None
     threshold: float | None
     passed: bool | None
@@ -94,27 +94,22 @@ def _familywise_k(k: float, comparisons: int) -> float:
     return -NormalDist().inv_cdf(per_cell / 2.0)
 
 
-def _require_min_cell(min_cell: int) -> None:
-    # An empty conditioning cell must never count as conclusive.
-    if not min_cell >= 1:
-        raise ValueError(f"min_cell must be at least 1, got {min_cell!r}")
+def _inconclusive(detail: str, threshold: float | None = None) -> AssumptionCheck:
+    return AssumptionCheck(None, threshold, None, detail)
 
 
-def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, AssumptionCheck]:
+def check_aoe(table: CountTable) -> dict[str, AssumptionCheck]:
     """AOE items i-iii.  Agreement for ii/iii must be exact (frequency 1 with
     zero counterexamples) on the conditioned records."""
-    _require_min_cell(min_cell)
-    checks = {}
     total = table.total()
     counts = table.cells  # (x, y, a, b, c, d)
     defined = int(counts[:, :, :, :, :2, :2].sum())
-    checks["aoe_i"] = AssumptionCheck(
-        "aoe_i",
+    checks = {"aoe_i": AssumptionCheck(
         statistic=defined / total if total else 0.0,
         threshold=1.0,
-        passed=defined == total if total else None,
+        passed=decide(total - defined, 0, total > 0),
         detail="fraction of trials with both friend outcomes defined",
-    )
+    )}
     # (superobserver, defined friend) outcome counts at the Z setting
     for name, pairs in (
         ("aoe_ii", counts[0].sum(axis=(0, 2, 4))[:, :2]),  # (a, c) at x = 1
@@ -122,16 +117,13 @@ def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, Assumpti
     ):
         n = int(pairs.sum())
         if n == 0:
-            checks[name] = AssumptionCheck(
-                name, None, 1.0, None, detail="no conditioned records",
-            )
+            checks[name] = _inconclusive("no conditioned records", 1.0)
             continue
-        freq = int(np.trace(pairs)) / n
+        agree = int(np.trace(pairs))
         checks[name] = AssumptionCheck(
-            name,
-            statistic=freq,
+            statistic=agree / n,
             threshold=1.0,
-            passed=(freq == 1.0) if n >= min_cell else None,
+            passed=decide(n - agree, 0, n >= MIN_CELL),
             detail="agreement frequency between superobserver and friend",
             cell_sizes={"conditioned": n},
         )
@@ -139,55 +131,41 @@ def check_aoe(table: CountTable, min_cell: int = MIN_CELL) -> dict[str, Assumpti
 
 
 def _verdict(
-    name: str, stat: np.ndarray, threshold: np.ndarray, conclusive: np.ndarray,
+    stat: np.ndarray, threshold: np.ndarray, conclusive: np.ndarray,
     detail: str, cell_sizes: dict[str, int],
 ) -> AssumptionCheck:
-    """The one per-cell rule: the statistic is the max of ``stat`` over the
-    conclusive cells, and the check fails if any of them exceeds its
-    ``threshold``; with no conclusive cell it is inconclusive."""
-    if not conclusive.any():
-        return AssumptionCheck(name, None, None, None, detail, cell_sizes)
-    passed = not (stat > threshold)[conclusive].any()
-    return AssumptionCheck(
-        name, float(stat[conclusive].max()), None, passed, detail, cell_sizes
-    )
+    """A per-cell check through ``decide``; its statistic is the max of
+    ``stat`` over the conclusive cells."""
+    passed = decide(stat, threshold, conclusive)
+    statistic = None if passed is None else float(stat[conclusive].max())
+    return AssumptionCheck(statistic, None, passed, detail, cell_sizes)
 
 
-def _tv_by_settings(
-    cells: np.ndarray, k: float, min_cell: int, name: str, detail: str
-) -> AssumptionCheck:
+def _tv_by_settings(cells: np.ndarray, k: float, detail: str) -> AssumptionCheck:
     """Max TV distance between per-(x, y) and pooled outcome distributions,
     from outcome counts per setting pair, shape (2, 2, n_outcomes)."""
     n_xy = cells.sum(axis=2)
     pooled = cells.sum(axis=(0, 1)) / max(int(n_xy.sum()), 1)
-    n = np.maximum(n_xy, 1)[:, :, None]  # sub-min_cell cells are masked below
+    n = np.maximum(n_xy, 1)[:, :, None]  # sub-MIN_CELL cells are masked below
     tv = _tv(cells / n, pooled)
     threshold = k * 0.5 * np.sqrt(pooled * (1 - pooled) / n).sum(axis=2)
     # cell sizes over the rows and the columns that hold trials
     rows, cols = np.flatnonzero(n_xy.sum(axis=1)), np.flatnonzero(n_xy.sum(axis=0))
     cell_sizes = {f"x{x + 1}y{y + 1}": int(n_xy[x, y]) for x in rows for y in cols}
-    return _verdict(name, tv, threshold, n_xy >= min_cell, detail, cell_sizes)
+    return _verdict(tv, threshold, n_xy >= MIN_CELL, detail, cell_sizes)
 
 
-def _friends_undefined(name: str) -> AssumptionCheck:
-    return AssumptionCheck(
-        name, None, None, None,
-        detail="friend outcomes undefined on some trials; inconclusive",
-    )
+_FRIENDS_UNDEFINED = "friend outcomes undefined on some trials; inconclusive"
 
 
-def check_nsd(
-    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
-) -> AssumptionCheck:
+def check_nsd(table: CountTable, k: float = 3.0) -> AssumptionCheck:
     """P(C, D | X, Y) = P(C, D): friend outcomes ignore the setting choices."""
-    _require_min_cell(min_cell)
     if not table.friends_defined():
-        return _friends_undefined("nsd")
+        return _inconclusive(_FRIENDS_UNDEFINED)
     # outcome 2 * c + d per (x, y)
     cd = table.cells.sum(axis=(2, 3))[:, :, :2, :2].reshape(2, 2, 4)
     return _tv_by_settings(
-        cd, k, min_cell, "nsd",
-        "max TV distance of P(C,D | x,y) from pooled P(C,D)",
+        cd, k, "max TV distance of P(C,D | x,y) from pooled P(C,D)",
     )
 
 
@@ -196,13 +174,10 @@ _WING_CELLS = [  # locality's cells, (wing, c, d, own setting) row-major
 ]
 
 
-def check_locality(
-    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
-) -> AssumptionCheck:
+def check_locality(table: CountTable, k: float = 3.0) -> AssumptionCheck:
     """Parameter independence: P(A | C, D, X) ignores Y, and symmetrically."""
-    _require_min_cell(min_cell)
     if not table.friends_defined():
-        return _friends_undefined("locality")
+        return _inconclusive(_FRIENDS_UNDEFINED)
     counts = table.cells[:, :, :, :, :2, :2]  # (x, y, a, b, c, d)
     # (distant setting, wing, c, d, own setting, outcome): the cells of
     # _WING_CELLS, each split by the distant setting
@@ -213,43 +188,34 @@ def check_locality(
     n1, n2 = wings.sum(axis=5)
     plus1, plus2 = wings[..., 0]
     cell_sizes = dict(zip(_WING_CELLS, (n1 + n2).ravel().tolist()))
-    conclusive = np.minimum(n1, n2) >= min_cell
+    conclusive = np.minimum(n1, n2) >= MIN_CELL
     k_cell = _familywise_k(k, int(conclusive.sum()))
-    n1, n2 = np.maximum(n1, 1), np.maximum(n2, 1)  # sub-min_cell cells are masked
+    n1, n2 = np.maximum(n1, 1), np.maximum(n2, 1)  # sub-MIN_CELL cells are masked
     tv = np.abs(plus1 / n1 - plus2 / n2)
     pooled = (plus1 + plus2) / (n1 + n2)
     threshold = k_cell * np.sqrt(
         np.maximum(pooled * (1 - pooled), 1e-12) * (1 / n1 + 1 / n2)
     )
     return _verdict(
-        "locality", tv, threshold, conclusive,
+        tv, threshold, conclusive,
         "max TV shift of a wing's outcome under the distant setting", cell_sizes,
     )
 
 
-def check_settings_independence(
-    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
-) -> AssumptionCheck:
+def check_settings_independence(table: CountTable, k: float = 3.0) -> AssumptionCheck:
     """rho(lambda | X, Y) = rho(lambda) over the model-declared binning."""
-    _require_min_cell(min_cell)
     if not table.binned:
-        return AssumptionCheck(
-            "settings_independence", None, None, None,
-            detail="model declares no hidden-state payload; not applicable",
-        )
+        return _inconclusive("model declares no hidden-state payload; not applicable")
     return _tv_by_settings(
-        table.counts.sum(axis=(2, 3, 4, 5)), k, min_cell, "settings_independence",
+        table.counts.sum(axis=(2, 3, 4, 5)), k,
         "max TV distance of binned hidden state per (x,y) from pooled",
     )
 
 
-def check_all(
-    table: CountTable, k: float = 3.0, min_cell: int = MIN_CELL
-) -> AssumptionReport:
-    checks = dict(check_aoe(table, min_cell))
-    checks["nsd"] = check_nsd(table, k, min_cell)
-    checks["locality"] = check_locality(table, k, min_cell)
-    checks["settings_independence"] = check_settings_independence(
-        table, k, min_cell
-    )
-    return AssumptionReport(checks)
+def check_all(table: CountTable, k: float = 3.0) -> AssumptionReport:
+    return AssumptionReport({
+        **check_aoe(table),
+        "nsd": check_nsd(table, k),
+        "locality": check_locality(table, k),
+        "settings_independence": check_settings_independence(table, k),
+    })

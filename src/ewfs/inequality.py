@@ -17,7 +17,8 @@ run log in a single pass over each trial's ``cell_key``.  Its setting-pair
 totals come from ``CountTable.n``, which raises ``EmptyCell`` on an empty
 pair through ``pair_totals``.  ``evaluate`` computes the (2, 2) correlator
 and SE arrays and the 8 facet values once each, and its ``InequalityReport``
-carries them.
+carries them.  Every verdict, here and in ``assumptions``, is ``decide``:
+fail iff a conclusive statistic exceeds its threshold.
 
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
@@ -39,6 +40,7 @@ LP_TOL = 1e-7
 __all__ = [
     "CHSH_BOUND",
     "EmptyCell",
+    "decide",
     "CountTable",
     "pair_totals",
     "PolytopeVerdict",
@@ -68,6 +70,17 @@ def pair_totals(n: np.ndarray) -> np.ndarray:
         empty = [(x + 1, y + 1) for x in range(2) for y in range(2) if n[x, y] == 0]
         raise EmptyCell(f"no trials for setting pairs {empty}")
     return n
+
+
+def decide(stat, threshold, conclusive=True) -> bool | None:
+    """The one verdict rule: False iff a conclusive entry of ``stat`` exceeds
+    its ``threshold``, None when no entry is conclusive, True otherwise.  A
+    tie passes.  Scalars compare in Python; arrays of cells broadcast."""
+    exceeds = stat > threshold
+    if isinstance(exceeds, np.ndarray) or isinstance(conclusive, np.ndarray):
+        conclusive = np.asarray(conclusive)
+        return not (exceeds & conclusive).any() if conclusive.any() else None
+    return not exceeds if conclusive else None
 
 
 _AB_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
@@ -310,13 +323,13 @@ def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeV
     """
     if not np.isfinite(probs).all():
         raise ValueError("behavior holds NaN or infinity")
-    if signaling_measure(probs) > tol:
+    if not decide(signaling_measure(probs), tol):
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
     x = linprog(probs.reshape(-1))
     if x is None:
         return PolytopeVerdict(False, None, np.inf, tol, cause="lp-failure")
     residual = float(x[16])
-    member = residual <= tol
+    member = decide(residual, tol)
     return PolytopeVerdict(
         member,
         x[:16] if member else None,
@@ -344,7 +357,7 @@ class IdentityCheck:
 
     @property
     def holds(self) -> bool:
-        return self.delta <= self.k * self.se + 1e-12
+        return decide(self.delta, self.k * self.se + 1e-12)
 
 
 @dataclass
@@ -462,7 +475,7 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     s_max, variant = chsh_max_variant(facets)
     s = float(facets[3])
     se = float(np.sqrt(np.sum(errors**2)))
-    violated = s_max > CHSH_BOUND + k * se
+    violated = not decide(s_max, CHSH_BOUND + k * se)
     stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(n.min()))
     polytope = local_polytope_feasible(table.probs(), tol=stat_tol)
     return InequalityReport(

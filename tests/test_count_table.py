@@ -8,12 +8,14 @@ counts, must agree to 1e-12 relative.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import synthetic_log
+from ewfs import assumptions
 from ewfs.assumptions import (
     MIN_CELL,
     AssumptionCheck,
@@ -58,7 +60,6 @@ def _ref_aoe(log, min_cell=MIN_CELL):
     defined = (log.c != UNDEFINED) & (log.d != UNDEFINED)
     frac = float(defined.mean()) if len(log) else 0.0
     checks["aoe_i"] = AssumptionCheck(
-        "aoe_i",
         statistic=frac,
         threshold=1.0,
         passed=bool(defined.all()) if len(log) else None,
@@ -72,12 +73,11 @@ def _ref_aoe(log, min_cell=MIN_CELL):
         n = int(mask.sum())
         if n == 0:
             checks[name] = AssumptionCheck(
-                name, None, 1.0, None, detail="no conditioned records",
+                None, 1.0, None, detail="no conditioned records",
             )
             continue
         freq = float((super_out[mask] == friend_out[mask]).mean())
         checks[name] = AssumptionCheck(
-            name,
             statistic=freq,
             threshold=1.0,
             passed=(freq == 1.0) if n >= min_cell else None,
@@ -87,7 +87,7 @@ def _ref_aoe(log, min_cell=MIN_CELL):
     return checks
 
 
-def _ref_tv_by_settings(values, n_outcomes, x, y, k, min_cell, name, detail):
+def _ref_tv_by_settings(values, n_outcomes, x, y, k, min_cell, detail):
     pooled = np.bincount(values, minlength=n_outcomes) / values.size
     worst_tv, ok, any_conclusive = 0.0, True, False
     cell_sizes = {}
@@ -106,7 +106,6 @@ def _ref_tv_by_settings(values, n_outcomes, x, y, k, min_cell, name, detail):
             if tv > threshold:
                 ok = False
     return AssumptionCheck(
-        name,
         statistic=worst_tv if any_conclusive else None,
         threshold=None,
         passed=ok if any_conclusive else None,
@@ -118,12 +117,12 @@ def _ref_tv_by_settings(values, n_outcomes, x, y, k, min_cell, name, detail):
 def _ref_nsd(log, k=3.0, min_cell=MIN_CELL):
     if not _ref_friends_defined(log):
         return AssumptionCheck(
-            "nsd", None, None, None,
+            None, None, None,
             detail="friend outcomes undefined on some trials; inconclusive",
         )
     cd = (2 * (log.c == -1) + (log.d == -1)).astype(np.int64)
     return _ref_tv_by_settings(
-        cd, 4, log.x, log.y, k, min_cell, "nsd",
+        cd, 4, log.x, log.y, k, min_cell,
         "max TV distance of P(C,D | x,y) from pooled P(C,D)",
     )
 
@@ -131,7 +130,7 @@ def _ref_nsd(log, k=3.0, min_cell=MIN_CELL):
 def _ref_locality(log, k=3.0, min_cell=MIN_CELL):
     if not _ref_friends_defined(log):
         return AssumptionCheck(
-            "locality", None, None, None,
+            None, None, None,
             detail="friend outcomes undefined on some trials; inconclusive",
         )
     cells = []
@@ -164,7 +163,6 @@ def _ref_locality(log, k=3.0, min_cell=MIN_CELL):
         if tv > threshold:
             ok = False
     return AssumptionCheck(
-        "locality",
         statistic=worst_tv if any_conclusive else None,
         threshold=None,
         passed=ok if any_conclusive else None,
@@ -177,13 +175,13 @@ def _ref_settings_independence(log, k=3.0, min_cell=MIN_CELL):
     binner = MODELS[log.model].binner if log.model in MODELS else None
     if binner is None:
         return AssumptionCheck(
-            "settings_independence", None, None, None,
+            None, None, None,
             detail="model declares no hidden-state payload; not applicable",
         )
     bins = np.asarray(binner(log))
     return _ref_tv_by_settings(
         bins, int(bins.max()) + 1 if bins.size else 1,
-        log.x, log.y, k, min_cell, "settings_independence",
+        log.x, log.y, k, min_cell,
         "max TV distance of binned hidden state per (x,y) from pooled",
     )
 
@@ -219,16 +217,20 @@ def _ref_chain_values(log):
 
 
 def _assert_checks_match(log, min_cell=MIN_CELL):
+    """The table-based checks, run with ``assumptions.MIN_CELL`` patched to
+    ``min_cell``, against the references at that cell size."""
     table = tabulate(log)
-    want = {name: c.to_dict() for name, c in _ref_aoe(log, min_cell).items()}
-    got = {name: c.to_dict() for name, c in check_aoe(table, min_cell).items()}
-    assert got == want
-    for ref, check in (
-        (_ref_nsd, check_nsd),
-        (_ref_locality, check_locality),
-        (_ref_settings_independence, check_settings_independence),
-    ):
-        assert check(table, 3.0, min_cell).to_dict() == ref(log, 3.0, min_cell).to_dict()
+    with mock.patch.object(assumptions, "MIN_CELL", min_cell):
+        got = {name: c.to_dict() for name, c in check_aoe(table).items()}
+        got_cells = [
+            check(table, 3.0).to_dict()
+            for check in (check_nsd, check_locality, check_settings_independence)
+        ]
+    assert got == {name: c.to_dict() for name, c in _ref_aoe(log, min_cell).items()}
+    assert got_cells == [
+        ref(log, 3.0, min_cell).to_dict()
+        for ref in (_ref_nsd, _ref_locality, _ref_settings_independence)
+    ]
 
 
 @pytest.mark.parametrize("kind,model", PAIRS)
@@ -266,7 +268,7 @@ def test_checks_match_at_the_min_cell_boundary(model, extra):
     sizes = set(table.counts.sum(axis=(2, 3, 6)).ravel().tolist())
     sizes |= set(table.n().ravel().tolist())
     sizes |= {c.cell_sizes["conditioned"] for c in list(check_aoe(table).values())[1:]}
-    for min_cell in sorted(sizes - {0}):  # min_cell < 1 is rejected
+    for min_cell in sorted(sizes - {0}):  # MIN_CELL 0 would make empty cells conclusive
         _assert_checks_match(log, min_cell)
         _assert_checks_match(log, min_cell + 1)
 

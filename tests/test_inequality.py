@@ -8,15 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import analytic_expectations, analytic_quantum_S, singlet, synthetic_log
 from ewfs import inequality
 from ewfs.inequality import (
     CHSH_BOUND,
+    LP_TOL,
     EmptyCell,
     PolytopeVerdict,
     chsh_max_variant,
     chsh_values,
+    decide,
     deterministic_strategy_tables,
     evaluate,
     expectations,
@@ -30,6 +33,8 @@ from ewfs.models import (
     MODEL_LHV,
     MODEL_TOY,
     MODEL_UNITARY_QM,
+    MODEL_NAMES,
+    TOY_OPTIMAL_CHSH,
     LhvOptions,
     ToyOptions,
     lhv_exact_expectations,
@@ -69,6 +74,78 @@ def _table_s_max(probs) -> float:
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
     e = np.einsum("xyab,ab->xy", probs, sign)
     return chsh_max_variant(chsh_values(e))[0]
+
+
+# --- the verdict rule ------------------------------------------------------
+
+
+def _decide_loop(stat, threshold, conclusive):
+    """``decide`` written out cell by cell."""
+    stat, threshold, conclusive = np.broadcast_arrays(stat, threshold, conclusive)
+    any_conclusive, passed = False, True
+    cells = zip(stat.ravel().tolist(), threshold.ravel().tolist(), conclusive.ravel().tolist())
+    for s, t, c in cells:
+        if c:
+            any_conclusive = True
+            if s > t:
+                passed = False
+    return passed if any_conclusive else None
+
+
+_verdict_floats = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from(
+    [0.0, 1.0, math.nan, math.inf, -math.inf]
+)
+
+
+@st.composite
+def _verdict_inputs(draw):
+    """(stat, threshold, conclusive), each a Python scalar, a numpy scalar or
+    an array of one shared shape; small integers make ties common."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+
+    def one(elements, dtype):
+        kind = draw(st.sampled_from(["python", "numpy", "array"]))
+        if kind == "array":
+            return draw(hnp.arrays(dtype, shape, elements=elements))
+        value = draw(elements)
+        return dtype(value) if kind == "numpy" else value
+
+    numbers = st.integers(-2, 2).map(float) | _verdict_floats
+    return one(numbers, np.float64), one(numbers, np.float64), one(st.booleans(), np.bool_)
+
+
+@given(inputs=_verdict_inputs())
+def test_decide_matches_the_cell_loop(inputs):
+    got = decide(*inputs)
+    assert got == _decide_loop(*inputs)
+    # report.json needs Python types on the scalar and the array path
+    assert type(got) in (bool, type(None))
+
+
+@given(
+    threshold=st.floats(-1e300, 1e300, allow_nan=False),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+)
+def test_decide_passes_a_tie_and_fails_the_next_float(threshold, shape):
+    above = np.nextafter(threshold, math.inf)
+    assert decide(threshold, threshold) is True
+    assert decide(above, threshold) is False
+    ties = np.full(shape, threshold)
+    assert decide(ties, ties) is True
+    assert decide(ties, threshold) is True
+    nudged = ties.copy()
+    nudged.flat[-1] = above
+    assert decide(nudged, ties) is False
+    conclusive = np.ones(shape, dtype=bool)
+    conclusive.flat[-1] = False
+    assert decide(nudged, ties, conclusive) is (True if conclusive.any() else None)
+
+
+@given(inputs=_verdict_inputs())
+def test_decide_without_a_conclusive_entry_is_none(inputs):
+    stat, threshold, conclusive = inputs
+    assert decide(stat, threshold, False) is None
+    assert decide(stat, threshold, np.zeros(np.shape(conclusive), dtype=bool)) is None
 
 
 # --- tabulation ------------------------------------------------------------
@@ -454,6 +531,37 @@ def test_evaluate_flags_quantum_violation():
     d = report.to_dict()
     assert d["violated"] and d["S_max"] == report.s_max
     assert d["certificate"]["member"] is False
+
+
+# every supported (scenario, model) pair, and toy-theta at its optimal angles
+_VERDICT_CASES = [
+    (kind, model, None)
+    for kind in (BRUKNER_EWFS, STANDARD_BELL)
+    for model in MODEL_NAMES
+    if (kind, model) != (STANDARD_BELL, MODEL_UNITARY_QM)
+] + [(BRUKNER_EWFS, MODEL_TOY, TOY_OPTIMAL_CHSH)]
+
+
+@pytest.mark.parametrize("kind,model,options", _VERDICT_CASES)
+@pytest.mark.parametrize("trials", [2_000, 20_000])
+def test_inequality_verdicts_match_their_written_out_rules(kind, model, options, trials):
+    k = 3.0
+    for seed in range(4):
+        log = run_trials(default_scenario(kind, trials), model, seed=seed, options=options)
+        table = tabulate(log)
+        report = evaluate(table, k)
+        assert report.violated == (report.s_max > 2 + k * report.s_max_se)
+        cert = report.polytope
+        tol = LP_TOL + k * 0.5 / math.sqrt(int(table.n().min()))
+        assert cert.tolerance == tol
+        signaling = signaling_measure(table.probs()) > tol
+        assert (cert.cause == "signaling") == signaling
+        if not signaling:
+            assert cert.member == (cert.residual <= tol)
+        if table.friends_defined():
+            for identity in verify_derivation_chain(log, k).identities:
+                rule = abs(identity.lhs - identity.rhs) <= k * identity.se + 1e-12
+                assert identity.holds == rule, identity.label
 
 
 def test_evaluate_accepts_local_model():
