@@ -75,11 +75,15 @@ def pair_totals(n: np.ndarray) -> np.ndarray:
 def decide(stat, threshold, conclusive=True) -> bool | None:
     """The one verdict rule: False iff a conclusive entry of ``stat`` exceeds
     its ``threshold``, None when no entry is conclusive, True otherwise.  A
-    tie passes.  Scalars compare in Python; arrays of cells broadcast."""
-    exceeds = stat > threshold
+    tie passes; a NaN in a conclusive entry raises ValueError.  Scalars
+    compare in Python; arrays of cells broadcast."""
+    exceeds, nan = stat > threshold, (stat != stat) | (threshold != threshold)
     if isinstance(exceeds, np.ndarray) or isinstance(conclusive, np.ndarray):
         conclusive = np.asarray(conclusive)
-        return not (exceeds & conclusive).any() if conclusive.any() else None
+        exceeds, nan = (exceeds & conclusive).any(), (nan & conclusive).any()
+        conclusive = conclusive.any()
+    if nan and conclusive:
+        raise ValueError("NaN statistic or threshold in a conclusive verdict")
     return not exceeds if conclusive else None
 
 

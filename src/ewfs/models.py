@@ -25,14 +25,12 @@ Every trial's randomness comes from a fixed window of the keyed stream
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore
 from .scenario import (
     BRUKNER_EWFS,
     STANDARD_BELL,
@@ -183,22 +181,23 @@ def singlet_joint_probs(angle_a: float, angle_b: float) -> np.ndarray:
     return np.array([[1 - c, 1 + c], [1 + c, 1 - c]]) / 4
 
 
-@functools.cache
-def _lab_pair_table(kind_a: str, kind_b: str) -> np.ndarray:
-    """Normalized (A, B) table of the entangled lab pair under the Z/X lab
-    measurements, derived through qcore once per process; read-only because
-    every caller shares it."""
-    lab_state = qcore.lab_pair_state(qcore.brukner_state())
-    table = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
-    table.setflags(write=False)
-    return table
+# Born tables P(A, B) of the lab pair on Brukner's state, indexed (Alice's lab basis,
+# Bob's, A, B) with Z, X -> 0, 1 and +1, -1 -> 0, 1: the bits that
+# qcore.lab_joint_probabilities derives, which tests/test_models.py checks.
+_LAB_PAIR_TABLES = np.array([float.fromhex(h) for h in """
+    0x1.2bec333018867p-4 0x1.b504f333f9de7p-2 0x1.b504f333f9de7p-2 0x1.2bec333018867p-4
+    0x1.b504f333f9de6p-2 0x1.2bec333018866p-4 0x1.2bec333018866p-4 0x1.b504f333f9de6p-2
+    0x1.2bec333018866p-4 0x1.b504f333f9de6p-2 0x1.b504f333f9de6p-2 0x1.2bec333018866p-4
+    0x1.2bec333018866p-4 0x1.b504f333f9de6p-2 0x1.b504f333f9de6p-2 0x1.2bec333018868p-4
+""".split()]).reshape(2, 2, 2, 2)
+_LAB_PAIR_TABLES.setflags(write=False)
 
 
 def ewfs_outcome_tables(spec: ScenarioSpec) -> dict:
     """Joint (A, B) distribution per setting pair for purely unitary friend
-    measurements on ``qcore.brukner_state()``, from the cached lab-pair tables."""
+    measurements on Brukner's state: read-only views of the lab-pair tables."""
     return {
-        (x, y): _lab_pair_table(kind_a, kind_b)
+        (x, y): _LAB_PAIR_TABLES["ZX".index(kind_a), "ZX".index(kind_b)]
         for x, kind_a in enumerate(spec.alice_settings, start=1)
         for y, kind_b in enumerate(spec.bob_settings, start=1)
     }

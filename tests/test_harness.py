@@ -929,6 +929,21 @@ def test_harness_import_leaves_scipy_stats_out():
     )
 
 
+def test_campaigns_leave_the_qcore_derivation_out():
+    # unitary-qm samples the pinned lab-pair tables; qcore, the reference
+    # derivation of them, is loaded by neither the import nor a campaign.
+    done = _python(
+        "-c",
+        "import sys, ewfs.harness as h; "
+        "print('ewfs.qcore' in sys.modules); "
+        "runs = [h.run_campaign(h.config_from_dict("
+        "{'scenario': s, 'model': m, 'trials': 2000})) for s, m in %r]; "
+        "print(len(runs), 'ewfs.qcore' in sys.modules)" % (_SUPPORTED,),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "7 False"]
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     done = _python("-W", "error::RuntimeWarning", "-m", "ewfs.harness", "--help")
     assert done.returncode == 0, done.stderr

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import analytic_expectations, analytic_quantum_S, singlet, synthetic_log
-from ewfs import inequality
+from ewfs import assumptions, inequality
 from ewfs.inequality import (
     CHSH_BOUND,
     LP_TOL,
@@ -87,9 +87,19 @@ def _decide_loop(stat, threshold, conclusive):
     for s, t, c in cells:
         if c:
             any_conclusive = True
+            if math.isnan(s) or math.isnan(t):
+                raise ValueError("NaN in a conclusive cell")
             if s > t:
                 passed = False
     return passed if any_conclusive else None
+
+
+def _outcome(rule, inputs):
+    """What ``rule(*inputs)`` returns, or ValueError if it raises one."""
+    try:
+        return rule(*inputs)
+    except ValueError:
+        return ValueError
 
 
 _verdict_floats = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from(
@@ -116,10 +126,10 @@ def _verdict_inputs(draw):
 
 @given(inputs=_verdict_inputs())
 def test_decide_matches_the_cell_loop(inputs):
-    got = decide(*inputs)
-    assert got == _decide_loop(*inputs)
+    got = _outcome(decide, inputs)
+    assert got == _outcome(_decide_loop, inputs)
     # report.json needs Python types on the scalar and the array path
-    assert type(got) in (bool, type(None))
+    assert got is ValueError or type(got) in (bool, type(None))
 
 
 @given(
@@ -146,6 +156,33 @@ def test_decide_without_a_conclusive_entry_is_none(inputs):
     stat, threshold, conclusive = inputs
     assert decide(stat, threshold, False) is None
     assert decide(stat, threshold, np.zeros(np.shape(conclusive), dtype=bool)) is None
+
+
+def test_a_nan_k_or_tol_raises_wherever_a_conclusive_verdict_reads_it():
+    spec = default_scenario(BRUKNER_EWFS, 2_000)
+    per_cell = (
+        assumptions.check_nsd,
+        assumptions.check_locality,
+        assumptions.check_settings_independence,
+    )
+    # toy-theta defines both friends' outcomes and bins its hidden angles,
+    # so every verdict below is conclusive
+    log = run_trials(spec, MODEL_TOY, 0)
+    table = tabulate(log)
+    verdicts = [
+        lambda: evaluate(table, k=math.nan),
+        lambda: verify_derivation_chain(log, k=math.nan).all_hold,
+        lambda: local_polytope_feasible(table.probs(), tol=math.nan),
+        lambda: assumptions.check_all(table, k=math.nan),
+        *(functools.partial(check, table, k=math.nan) for check in per_cell),
+    ]
+    for verdict in verdicts:
+        with pytest.raises(ValueError, match="NaN"):
+            verdict()
+    # unitary-qm leaves friend outcomes undefined off the opened branch and
+    # has no hidden-state payload: the per-cell checks read no k
+    table = tabulate(run_trials(spec, MODEL_UNITARY_QM, 0))
+    assert [check(table, k=math.nan).passed for check in per_cell] == [None] * 3
 
 
 # --- tabulation ------------------------------------------------------------

@@ -21,7 +21,7 @@ from ewfs.models import (
     ToyOptions,
     UNDEFINED,
     UnsupportedScenario,
-    _lab_pair_table,
+    _LAB_PAIR_TABLES,
     _sample_lhv,
     ewfs_outcome_tables,
     lhv_exact_expectations,
@@ -190,24 +190,17 @@ def test_ewfs_tables_are_distributions():
         assert abs(correlator - exact[x - 1, y - 1]) <= 1e-15
 
 
-# float.hex of the four lab-pair tables, row-major over (A, B) = (+, -):
-# the derivation must reproduce these bits, or every ewfs golden digest moves.
-LAB_PAIR_TABLE_HEX = {
-    ("Z", "Z"): ("0x1.2bec333018867p-4", "0x1.b504f333f9de7p-2",
-                 "0x1.b504f333f9de7p-2", "0x1.2bec333018867p-4"),
-    ("Z", "X"): ("0x1.b504f333f9de6p-2", "0x1.2bec333018866p-4",
-                 "0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2"),
-    ("X", "Z"): ("0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2",
-                 "0x1.b504f333f9de6p-2", "0x1.2bec333018866p-4"),
-    ("X", "X"): ("0x1.2bec333018866p-4", "0x1.b504f333f9de6p-2",
-                 "0x1.b504f333f9de6p-2", "0x1.2bec333018868p-4"),
-}
-
-
 def test_lab_pair_tables_are_pinned_bitwise():
-    for (kind_a, kind_b), pinned in LAB_PAIR_TABLE_HEX.items():
-        table = _lab_pair_table(kind_a, kind_b)
-        assert tuple(float(p).hex() for p in table.ravel()) == pinned, (kind_a, kind_b)
+    # qcore is the reference derivation of the constants unitary-qm samples;
+    # the golden digests no longer see it, so a change to either fails here.
+    lab_state = qcore.lab_pair_state(qcore.brukner_state())
+    for i, kind_a in enumerate("ZX"):
+        for j, kind_b in enumerate("ZX"):
+            derived = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
+            pinned = _LAB_PAIR_TABLES[i, j]
+            assert [p.hex() for p in derived.ravel().tolist()] == [
+                p.hex() for p in pinned.ravel().tolist()
+            ], (kind_a, kind_b)
 
 
 def test_lab_joint_probabilities_rejects_weight_outside_pointer_subspace():
@@ -221,20 +214,8 @@ def test_lab_joint_probabilities_rejects_weight_outside_pointer_subspace():
                 qcore.lab_joint_probabilities(leaky, kind_a, kind_b)
 
 
-def test_ewfs_tables_are_derived_once_and_read_only(monkeypatch):
-    spec = default_scenario(BRUKNER_EWFS, 2_000)
-    run_campaign(CampaignConfig(scenario=spec, model=MODEL_UNITARY_QM, seed=1))
-    calls = []
-    born = qcore.born_probabilities
-    monkeypatch.setattr(
-        qcore, "born_probabilities", lambda *args: calls.append(args) or born(*args)
-    )
-    run_campaign(CampaignConfig(scenario=spec, model=MODEL_UNITARY_QM, seed=2))
-    assert calls == []
-    # the counter sees a direct qcore derivation
-    analytic_expectations(qcore.brukner_state(), spec)
-    assert calls
-    for table in ewfs_outcome_tables(spec).values():
+def test_ewfs_tables_are_read_only():
+    for table in ewfs_outcome_tables(default_scenario(BRUKNER_EWFS, 10)).values():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ewfs.models import MODELS
+from ewfs.scenario import SETTINGS_STREAM
 from ewfs.streams import stream_entropy, substream, uniform_block
 
 
@@ -56,3 +58,22 @@ def test_streams_with_different_labels_are_uncorrelated():
     u = uniform_block(0, "settings", 4000, 1)[:, 0]
     v = uniform_block(0, "model:lhv", 4000, 1)[:, 0]
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.05
+
+
+# Every stream a campaign reads, with its draws per trial.
+CAMPAIGN_STREAMS = [(SETTINGS_STREAM, 1)] + [(f"model:{m}", e.draws) for m, e in MODELS.items()]
+
+
+@pytest.mark.parametrize("label, draws", CAMPAIGN_STREAMS)
+@pytest.mark.parametrize("seed", [0, 7, True, -3])
+def test_uniform_block_is_the_raw_pcg64_stream(label, draws, seed):
+    # The stream canary: NumPy fixes the bit generators' output across
+    # releases (NEP 19) but not Generator.random's.  The golden digests rest
+    # on the doubles below; if they move, this test names the cause.
+    for first in (0, 12_345, 10**9):
+        bg = np.random.PCG64(np.random.SeedSequence(entropy=stream_entropy(seed, label)))
+        bg.advance(first * draws)
+        raw = bg.random_raw(8 * draws).reshape(8, draws)
+        expected = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        got = uniform_block(seed, label, 8, draws, first)
+        assert got.tobytes() == expected.tobytes(), (label, seed, first)
