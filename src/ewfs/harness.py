@@ -4,7 +4,10 @@ A campaign is (scenario x model x trials) under a master seed.  The seed
 fully determines every output byte: settings come from a dedicated stream,
 each trial owns a fixed window of its model stream, and reports carry no
 timestamps.  Any split of the trial range into ``run_trials`` blocks gives
-the same rows.
+the same rows, so a campaign runs in chunks of ``CHUNK`` trials: each chunk
+is sampled, counted into the campaign's count table and written to
+``runs.csv`` before the next one is sampled, and the bytes do not depend on
+``CHUNK``.
 
 Outputs: a per-run CSV (``trial,X,Y,A,B,C,D,lambda_tag``) and a summary JSON
 with the correlators, CHSH statistics, polytope certificate and assumption
@@ -14,6 +17,8 @@ verdicts.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import re
@@ -46,6 +51,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OUTPUT = 3
 
+# Trials per pass of the campaign loop.  A chunk's float64 column is 512 KB
+# and toy-theta's draw block 2.6 MB, so they are still in cache when they
+# are counted and written; at 10^6 trials a column is 8 MB and the draw
+# block 40 MB.  A campaign holds one chunk's log, whatever its trial count.
+CHUNK = 1 << 16
 CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
 # Rows formatted per write of runs.csv.  A block's fields exist as Python
 # objects and its rows as one string until the write, so the block bounds
@@ -110,10 +120,19 @@ class CampaignConfig:
 @dataclass
 class CampaignResult:
     config: CampaignConfig
-    log: RunLog
     inequality: inequality.InequalityReport
     assumptions: assumptions_mod.AssumptionReport | None
     report: dict = field(default_factory=dict)
+    chunk_log: RunLog | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def log(self) -> RunLog:
+        """The campaign's run log.  A one-chunk campaign keeps its chunk's
+        log; a longer one runs its chunks again on first access, and row i,
+        a pure function of (seed, i), is the row it counted."""
+        if self.chunk_log is not None:
+            return self.chunk_log
+        return _joined_log(self.config)
 
 
 def _report_dict(config: CampaignConfig, ineq: inequality.InequalityReport, assum) -> dict:
@@ -148,46 +167,114 @@ def _lambda_text(name: str, values: np.ndarray) -> list[str]:
     return np.array(text, dtype=object)[rows].tolist()
 
 
-def _write_csv(path: Path, log: RunLog) -> None:
-    """One "trial,X,Y,A,B,C,D,lambda_tag" row per trial, CRLF-terminated.
-    Each block of rows is one %-format of the row template: the trial,
-    the cell text, then the lambda columns in key order joined by ';'."""
+def _open_csv(path: Path):
+    """``path`` opened for writing, with the header row written."""
+    handle = path.open("w", newline="")
+    handle.write(",".join(CSV_HEADER) + "\r\n")
+    return handle
+
+
+def _write_rows(handle, log: RunLog) -> None:
+    """One "trial,X,Y,A,B,C,D,lambda_tag" row per trial of ``log``,
+    CRLF-terminated.  Each block of rows is one %-format of the row
+    template: the trial, the cell text, then the lambda columns in key order
+    joined by ';'."""
     key = inequality.cell_key(log)
     names = sorted(log.lam)
     row = "%d,%s" + ";".join(["%s"] * len(names)) + "\r\n"
     width = 2 + len(names)
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(CSV_HEADER) + "\r\n")
-        for lo in range(0, len(log), CSV_BLOCK):
-            hi = min(lo + CSV_BLOCK, len(log))
-            fields = [None] * (width * (hi - lo))
-            fields[0::width] = range(log.first_trial + lo, log.first_trial + hi)
-            fields[1::width] = _CELL_TEXT[key[lo:hi]].tolist()
-            for column, name in enumerate(names, start=2):
-                fields[column::width] = _lambda_text(name, log.lam[name][lo:hi])
-            handle.write(row * (hi - lo) % tuple(fields))
+    for lo in range(0, len(log), CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, len(log))
+        fields = [None] * (width * (hi - lo))
+        fields[0::width] = range(log.first_trial + lo, log.first_trial + hi)
+        fields[1::width] = _CELL_TEXT[key[lo:hi]].tolist()
+        for column, name in enumerate(names, start=2):
+            fields[column::width] = _lambda_text(name, log.lam[name][lo:hi])
+        handle.write(row * (hi - lo) % tuple(fields))
+
+
+def _write_csv(path: Path, log: RunLog) -> None:
+    """``runs.csv`` of a whole run log: the header, then every row."""
+    with _open_csv(path) as handle:
+        _write_rows(handle, log)
+
+
+def _check_setting_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise ``EmptyCell``, as ``evaluate`` would, when a setting pair holds
+    none of the trials: checked before any file of a campaign is written."""
+    inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
+
+
+def _add_counts(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """``total + part``, in place in one of them, with the lambda axis padded
+    to the longer of the two: the campaign's axis ends at its largest bin."""
+    if total is None:
+        return part
+    if part.shape[-1] > total.shape[-1]:
+        total, part = part, total
+    total[..., :part.shape[-1]] += part
+    return total
+
+
+def _chunk_logs(config: CampaignConfig):
+    """The campaign's run log in consecutive blocks of ``CHUNK`` trials."""
+    spec, trials = config.scenario, config.scenario.trials
+    for lo in range(0, trials, CHUNK):
+        yield run_trials(
+            spec, config.model, config.seed, options=config.model_options,
+            first_trial=lo, n_trials=min(CHUNK, trials - lo),
+        )
+
+
+def _joined_log(config: CampaignConfig) -> RunLog:
+    """The whole run log, equal to a whole-range ``run_trials``: its
+    settings are the whole block, and each chunk is copied into columns
+    allocated once, so no draw spans the whole range."""
+    trials = config.scenario.trials
+    xs, ys = sample_settings_block(config.scenario, config.seed, trials)
+    log = None
+    for chunk in _chunk_logs(config):
+        if log is None:
+            outcomes = (np.empty(trials, c.dtype) for c in (chunk.a, chunk.b, chunk.c, chunk.d))
+            lam = {name: np.empty(trials, c.dtype) for name, c in chunk.lam.items()}
+            log = RunLog(chunk.kind, chunk.model, xs, ys, *outcomes, lam)
+        rows = slice(chunk.first_trial, chunk.first_trial + len(chunk))
+        for name in "abcd":
+            getattr(log, name)[rows] = getattr(chunk, name)
+        for name, column in chunk.lam.items():
+            log.lam[name][rows] = column
+    return log
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Execute every trial, analyse the log, and write any requested files."""
-    log = run_trials(
-        config.scenario, config.model, config.seed, options=config.model_options
-    )
-    table = inequality.tabulate(log)
+    """Execute every trial chunk by chunk, analyse the summed count table,
+    and write any requested files."""
+    trials = config.scenario.trials
+    # the whole block, drawn once: each chunk's settings are a memo hit
+    xs, ys = sample_settings_block(config.scenario, config.seed, trials)
+    out = None if config.out_dir is None else Path(config.out_dir)
+    write_csv = out is not None and "csv" in config.formats
+    if write_csv:
+        _check_setting_pairs(xs, ys)
+        out.mkdir(parents=True, exist_ok=True)
+    counts = None
+    with _open_csv(out / "runs.csv") if write_csv else contextlib.nullcontext() as rows:
+        for log in _chunk_logs(config):
+            part = inequality.tabulate(log)
+            counts = _add_counts(counts, part.counts)
+            if rows is not None:
+                _write_rows(rows, log)
+    table = inequality.CountTable(counts, part.binned)
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
     report = _report_dict(config, ineq, assum)
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
+    if out is not None and "json" in config.formats:
         out.mkdir(parents=True, exist_ok=True)
-        if "csv" in config.formats:
-            _write_csv(out / "runs.csv", log)
-        if "json" in config.formats:
-            # one write; a numpy setting or angle is echoed as the Python
-            # number it holds
-            text = json.dumps(report, indent=2, sort_keys=True, default=np.generic.item)
-            (out / "report.json").write_text(text + "\n")
-    return CampaignResult(config, log, ineq, assum, report)
+        # one write; a numpy setting or angle is echoed as the Python
+        # number it holds
+        text = json.dumps(report, indent=2, sort_keys=True, default=np.generic.item)
+        (out / "report.json").write_text(text + "\n")
+    return CampaignResult(config, ineq, assum, report, log if len(log) == trials else None)
 
 
 def _verdict_text(passed: bool | None) -> str:
@@ -202,8 +289,9 @@ def compare_models(configs: list[CampaignConfig]) -> list[dict]:
     # every campaign's settings cover all four pairs before the first one
     # runs and writes its files
     for config in configs:
-        xs, ys = sample_settings_block(config.scenario, config.seed, config.scenario.trials)
-        inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
+        _check_setting_pairs(
+            *sample_settings_block(config.scenario, config.seed, config.scenario.trials)
+        )
     rows = []
     for config in configs:
         result = run_campaign(config)

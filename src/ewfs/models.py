@@ -234,14 +234,15 @@ def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
     its setting pair p = 2(x - 1) + (y - 1).  The outcome index
     2[A=-1] + [B=-1] is sum_j [cum_j <= u] over the first three entries of
     the table's cumsum: searchsorted(cum, u, "right") clipped to 3, because
-    a cumsum of nonnegative entries never decreases."""
+    a cumsum of nonnegative entries never decreases.  Row j of ``cum`` holds
+    entry j of every pair's cumsum, so each threshold is one 1-D gather."""
     cum = np.empty((4, 4))
     for (x, y), table in tables.items():
-        cum[2 * (x - 1) + (y - 1)] = np.cumsum(table.reshape(-1))
-    p = 2 * xs + ys - 3
-    idx = (cum[p, 0] <= u).view(np.int8)
-    idx += cum[p, 1] <= u
-    idx += cum[p, 2] <= u
+        cum[:, 2 * (x - 1) + (y - 1)] = np.cumsum(table.reshape(-1))
+    p = (2 * xs + ys - 3).astype(np.intp)
+    idx = (cum[0].take(p) <= u).view(np.int8)
+    idx += cum[1].take(p) <= u
+    idx += cum[2].take(p) <= u
     return _bit_signs(idx, 1), _bit_signs(idx, 0)
 
 

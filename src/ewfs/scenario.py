@@ -12,14 +12,15 @@ Two scenario kinds are supported:
 Settings are sampled from a dedicated random stream keyed
 (seed, "settings", trial index), disjoint from every model stream, so the
 choice of settings is independent of all hidden state by construction.
-The stream ignores the scenario and the model, so campaigns at one seed and
-trial range share one draw: ``sample_settings_block`` keeps the last block,
-read-only, and returns it again for the same (seed, trials, first trial).
+The stream ignores the scenario and the model, so campaigns at one seed
+share one draw: ``sample_settings_block`` keeps the last block it drew,
+read-only, and serves any trial range inside it, at that seed, as slices of
+it.  A campaign draws its whole block once and each of its chunks is a
+slice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -104,15 +105,34 @@ def sample_settings_block(
     return _settings_block(seed, n_trials, first_trial)
 
 
-# One entry: the campaigns of a sweep or a comparison run one after another
-# at one seed, and the run log of the last one holds these arrays anyway.
-# ``typed`` keeps seed 1 and seed True apart: the stream key is f"{seed}".
-@functools.lru_cache(maxsize=1, typed=True)
-def _settings_block(seed: int, n_trials: int, first_trial: int):
-    u = uniform_block(seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
-    u *= 4
-    pair = np.minimum(u.astype(np.int8), 3)
-    xs, ys = (pair >> 1) + 1, (pair & 1) + 1
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return xs, ys
+class _LastBlock:
+    """A one-entry memo of settings blocks.  The campaigns of a sweep or a
+    comparison run one after another at one seed, and a campaign's chunks
+    are sub-ranges of its whole block."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the last block: the next call draws."""
+        self.key, self.first, self.xs, self.ys = None, 0, None, None
+
+    def __call__(self, seed: int, n_trials: int, first_trial: int):
+        # The stream key is f"{seed}": seed 1 and np.int64(1) share a
+        # stream, seed True does not.
+        key = f"{seed}"
+        lo = first_trial - self.first
+        if key != self.key or lo < 0 or lo + n_trials > self.xs.size:
+            self.clear()  # the old block goes before the new one is drawn
+            u = uniform_block(seed, SETTINGS_STREAM, n_trials, 1, first_trial)[:, 0]
+            u *= 4
+            pair = np.minimum(u.astype(np.int8), 3)
+            xs, ys = (pair >> 1) + 1, (pair & 1) + 1
+            xs.setflags(write=False)
+            ys.setflags(write=False)
+            self.key, self.first, self.xs, self.ys = key, first_trial, xs, ys
+            lo = 0
+        return self.xs[lo:lo + n_trials], self.ys[lo:lo + n_trials]
+
+
+_settings_block = _LastBlock()

@@ -34,6 +34,7 @@ from ewfs.models import (
     MODEL_LHV,
     MODEL_NAMES,
     MODEL_TOY,
+    MODELS,
     LhvOptions,
     ToyOptions,
     run_trials,
@@ -189,6 +190,49 @@ def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, model
     _csv_rows(tmp_path / "many", model, 1_000)
     one, many = ((tmp_path / d / "runs.csv").read_bytes() for d in ("one", "many"))
     assert one == many
+
+
+# every (scenario, model) pair a campaign can run, and lhv on six strategies,
+# whose lambda axis ends at bin 5 while most chunks of seven trials end lower
+CHUNK_CASES = [(kind, model, None) for model in MODEL_NAMES for kind in MODELS[model].kinds]
+CHUNK_CASES.append((BRUKNER_EWFS, MODEL_LHV, LhvOptions((1 / 6,) * 6 + (0.0,) * 10)))
+
+
+def _log_bytes(log) -> list:
+    columns = [log.x, log.y, log.a, log.b, log.c, log.d]
+    return [log.first_trial] + [c.tobytes() for c in columns] + [
+        (name, column.dtype, column.tobytes()) for name, column in sorted(log.lam.items())
+    ]
+
+
+@pytest.mark.parametrize("kind,model,options", CHUNK_CASES)
+def test_campaign_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, kind, model, options):
+    spec = default_scenario(kind, 3_000)
+    log = run_trials(spec, model, seed=4, options=options)
+    whole = _log_bytes(log)
+    tables = []
+    evaluate = inequality.evaluate
+    monkeypatch.setattr(inequality, "evaluate", lambda t, k: tables.append(t) or evaluate(t, k=k))
+
+    def campaign(out):
+        return run_campaign(CampaignConfig(spec, model, seed=4, model_options=options, out_dir=out))
+
+    # 3,000 trials are one chunk at the default size: the result keeps its log
+    assert harness.CHUNK >= 3_000
+    assert _log_bytes(campaign(tmp_path / "default").log) == whole
+    files = ("report.json", "runs.csv")
+    expected = {name: (tmp_path / "default" / name).read_bytes() for name in files}
+    for chunk in (1, 7, 1_000, 2_999):
+        monkeypatch.setattr(harness, "CHUNK", chunk)
+        result = campaign(tmp_path / str(chunk))
+        for name, data in expected.items():
+            assert (tmp_path / str(chunk) / name).read_bytes() == data, (chunk, name)
+        # a multi-chunk campaign builds its log again on first access
+        assert _log_bytes(result.log) == whole, chunk
+    # every campaign counted the whole log's table, lambda axis and all
+    counts = inequality.tabulate(log).counts
+    for table in tables:
+        assert table.counts.shape == counts.shape and table.counts.tobytes() == counts.tobytes()
 
 
 def _csv_writer_reference(log):
@@ -496,6 +540,17 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys):
     )
     assert code == EXIT_OUTPUT
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "csv", "both"])
+def test_cli_empty_setting_pair_writes_no_file(tmp_path, capsys, fmt):
+    # three trials cannot fill the four setting pairs: the check runs before
+    # the streamed runs.csv is opened, and report.json is never reached
+    out = tmp_path / "out"
+    argv = ["--scenario", "ewfs", "--model", "lhv", "--trials", "3", "--out", str(out)]
+    err = _usage_error(argv + ([] if fmt is None else [f"--format={fmt}"]), capsys)
+    assert err.count("\n") == 1 and "no trials for setting pairs" in err
+    assert not (out / "runs.csv").exists() and not (out / "report.json").exists()
 
 
 def test_cli_compare_bad_file_exits_2(tmp_path, capsys):

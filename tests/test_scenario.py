@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from ewfs import scenario
+from ewfs import harness, scenario
 from ewfs.models import MODEL_NAMES, run_trials
 from ewfs.scenario import (
     BRUKNER_EWFS,
@@ -141,7 +141,7 @@ def test_campaigns_at_one_seed_share_one_settings_draw(monkeypatch):
         return uniform_block(seed, label, *args)
 
     monkeypatch.setattr(scenario, "uniform_block", counted)
-    scenario._settings_block.cache_clear()
+    scenario._settings_block.clear()
     spec = default_scenario(BRUKNER_EWFS, 300)
     for model in MODEL_NAMES:
         run_trials(spec, model, seed=8)
@@ -149,6 +149,53 @@ def test_campaigns_at_one_seed_share_one_settings_draw(monkeypatch):
     # the range check runs on every call, memo or not
     with pytest.raises(IndexError):
         sample_settings_block(default_scenario(BRUKNER_EWFS, 299), 8, 300)
+
+
+def _count_settings_draws(monkeypatch) -> list:
+    """Forget the memo and record the label of every draw it makes."""
+    draws = []
+
+    def counted(seed, label, *args):
+        draws.append(label)
+        return uniform_block(seed, label, *args)
+
+    monkeypatch.setattr(scenario, "uniform_block", counted)
+    scenario._settings_block.clear()
+    return draws
+
+
+@given(
+    seed=st.sampled_from([0, 1, True, np.int64(1), 2]),
+    block=st.tuples(st.integers(0, 20), st.integers(1, 60)),
+    ranges=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=6),
+)
+def test_memo_serves_every_sub_range_of_the_last_block(seed, block, ranges):
+    first, n = block
+    spec = default_scenario(BRUKNER_EWFS, first + n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        draws = _count_settings_draws(monkeypatch)
+        sample_settings_block(spec, seed, n, first)
+        for lo, length in ranges:
+            lo = first + lo % n
+            length %= first + n - lo + 1
+            xs, ys = sample_settings_block(spec, seed, length, lo)
+            ref_x, ref_y = _ref_settings(None, seed, length, lo)
+            np.testing.assert_array_equal(xs, ref_x)
+            np.testing.assert_array_equal(ys, ref_y)
+            assert xs.dtype == ys.dtype == np.int8
+            assert not xs.flags.writeable and not ys.flags.writeable
+        assert draws == [SETTINGS_STREAM]
+
+
+def test_bulk_models_at_one_seed_share_one_draw_across_chunks(monkeypatch):
+    # 150,000 trials are three chunks: the first campaign draws its whole
+    # block, and its chunks and the other three campaigns find it in the memo
+    draws = _count_settings_draws(monkeypatch)
+    spec = default_scenario(BRUKNER_EWFS, 150_000)
+    assert spec.trials > 2 * harness.CHUNK
+    for model in MODEL_NAMES:
+        harness.run_campaign(harness.CampaignConfig(spec, model, seed=3))
+    assert draws == [SETTINGS_STREAM]
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
