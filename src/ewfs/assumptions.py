@@ -206,8 +206,13 @@ def check_settings_independence(table: CountTable, k: float = 3.0) -> Assumption
     """rho(lambda | X, Y) = rho(lambda) over the model-declared binning."""
     if not table.binned:
         return _inconclusive("model declares no hidden-state payload; not applicable")
+    lam = table.counts.sum(axis=(2, 3, 4, 5))  # (x, y, lambda-bin)
+    # Cut after the last bin that holds a trial: the TV and threshold sums
+    # run over this axis, and trailing zero bins can change a float sum's
+    # rounding, so the verdict would depend on how many bins are empty.
+    used = np.flatnonzero(lam.sum(axis=(0, 1)))
     return _tv_by_settings(
-        table.counts.sum(axis=(2, 3, 4, 5)), k,
+        lam[..., :used[-1] + 1 if used.size else 1], k,
         "max TV distance of binned hidden state per (x,y) from pooled",
     )
 

@@ -193,27 +193,10 @@ def _write_rows(handle, log: RunLog) -> None:
         handle.write(row * (hi - lo) % tuple(fields))
 
 
-def _write_csv(path: Path, log: RunLog) -> None:
-    """``runs.csv`` of a whole run log: the header, then every row."""
-    with _open_csv(path) as handle:
-        _write_rows(handle, log)
-
-
 def _check_setting_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
     """Raise ``EmptyCell``, as ``evaluate`` would, when a setting pair holds
     none of the trials: checked before any file of a campaign is written."""
     inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
-
-
-def _add_counts(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
-    """``total + part``, in place in one of them, with the lambda axis padded
-    to the longer of the two: the campaign's axis ends at its largest bin."""
-    if total is None:
-        return part
-    if part.shape[-1] > total.shape[-1]:
-        total, part = part, total
-    total[..., :part.shape[-1]] += part
-    return total
 
 
 def _chunk_logs(config: CampaignConfig):
@@ -260,11 +243,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     counts = None
     with _open_csv(out / "runs.csv") if write_csv else contextlib.nullcontext() as rows:
         for log in _chunk_logs(config):
-            part = inequality.tabulate(log)
-            counts = _add_counts(counts, part.counts)
+            part = inequality.tabulate(log).counts
+            if counts is None:
+                counts = part
+            else:
+                counts += part
             if rows is not None:
                 _write_rows(rows, log)
-    table = inequality.CountTable(counts, part.binned)
+    table = inequality.CountTable(counts)
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
     report = _report_dict(config, ineq, assum)
@@ -483,6 +469,8 @@ def _compare_configs(args) -> list[CampaignConfig]:
         data = json.loads(args.compare.read_text())
     except OSError as exc:
         raise ValueError(f"cannot read --compare file: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("--compare file is nested too deeply to parse") from exc
     if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
         raise ValueError("--compare file must hold a JSON list of campaign objects")
     configs = [config_from_dict(d) for d in data]

@@ -96,11 +96,17 @@ class CountTable:
 
     Axes: x, y are setting index - 1; a, b are 0 <-> +1, 1 <-> -1; c, d
     add 2 <-> undefined; the lambda axis holds the model's binning of its
-    hidden-state payload (``binned``), or a single bin when it declares none.
+    hidden-state payload in ``LAMBDA_BINS`` bins, or a single bin when it
+    declares none.  The shape depends only on the model, so tables of any
+    two blocks of one campaign add as they are.
     """
 
-    counts: np.ndarray  # int64, shape (2, 2, 2, 2, 3, 3, n_bins)
-    binned: bool
+    counts: np.ndarray  # int64, shape (2, 2, 2, 2, 3, 3, LAMBDA_BINS or 1)
+
+    @property
+    def binned(self) -> bool:
+        """The model declares a hidden-state binning."""
+        return self.counts.shape[-1] > 1
 
     def __post_init__(self):
         # N(x, y, a, b, c, d), shape (2, 2, 2, 2, 3, 3): the lambda marginal
@@ -160,16 +166,15 @@ def tabulate(log: RunLog) -> CountTable:
     ``np.bincount`` over ``cell_key`` refined by the lambda bin."""
     key = cell_key(log)
     binner = MODELS[log.model].binner if log.model in MODELS else None
-    n_bins = 1
-    if binner is not None and len(log):
+    n_bins = 1 if binner is None else LAMBDA_BINS
+    if binner is not None:
         bins = binner(log)
-        if bins.min() < 0 or bins.max() >= LAMBDA_BINS:
+        if len(log) and (bins.min() < 0 or bins.max() >= LAMBDA_BINS):
             raise ValueError(f"lambda bins outside 0..{LAMBDA_BINS - 1}")
-        n_bins = int(bins.max()) + 1
         key *= n_bins
         key += bins
     counts = np.bincount(key, minlength=144 * n_bins)
-    return CountTable(counts.reshape(2, 2, 2, 2, 3, 3, n_bins), binner is not None)
+    return CountTable(counts.reshape(2, 2, 2, 2, 3, 3, n_bins))
 
 
 def expectations(table: CountTable) -> tuple[np.ndarray, np.ndarray]:

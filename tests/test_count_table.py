@@ -319,11 +319,6 @@ def test_chain_on_constant_products_has_zero_error():
         verify_derivation_chain(synthetic_log(x=[1], y=[1], a=[1], b=[1], c=[1], d=[1]))
 
 
-def _padded(counts, n_bins):
-    pad = [(0, 0)] * (counts.ndim - 1) + [(0, n_bins - counts.shape[-1])]
-    return np.pad(counts, pad)
-
-
 @pytest.mark.parametrize("kind,model", PAIRS)
 def test_table_of_a_log_is_the_sum_of_its_block_tables(kind, model):
     spec = default_scenario(kind, 7_000)
@@ -332,10 +327,8 @@ def test_table_of_a_log_is_the_sum_of_its_block_tables(kind, model):
         tabulate(run_trials(spec, model, seed=4, first_trial=lo, n_trials=n))
         for lo, n in ((0, 1_700), (1_700, 3), (1_703, 5_297))
     ]
-    n_bins = whole.counts.shape[-1]
-    assert all(b.binned == whole.binned for b in blocks)
-    summed = sum(_padded(b.counts, n_bins) for b in blocks)
-    np.testing.assert_array_equal(summed, whole.counts)
+    assert all(b.counts.shape == whole.counts.shape for b in blocks)
+    np.testing.assert_array_equal(sum(b.counts for b in blocks), whole.counts)
 
 
 def test_table_axes_and_lambda_bins():
@@ -345,13 +338,20 @@ def test_table_axes_and_lambda_bins():
         lam={"strategy": np.array([3, 0, 3], dtype=np.int16)},
     )
     table = tabulate(log)
-    assert table.binned and table.counts.shape == (2, 2, 2, 2, 3, 3, 4)
+    assert table.binned and table.counts.shape == (2, 2, 2, 2, 3, 3, LAMBDA_BINS)
     assert table.counts[0, 1, 0, 1, 2, 0, 3] == 1
     assert table.counts[1, 0, 1, 0, 0, 2, 0] == 1
     assert table.counts[1, 1, 1, 1, 1, 1, 3] == 1
     assert table.total() == 3 and not table.friends_defined()
     unbinned = tabulate(synthetic_log(x=[1], y=[1], a=[1], b=[1]))
     assert not unbinned.binned and unbinned.counts.shape[-1] == 1
+    # the width depends on the model only, never on the trials counted
+    spec = default_scenario(BRUKNER_EWFS, 3)
+    for model in MODEL_NAMES:
+        width = LAMBDA_BINS if MODELS[model].binner else 1
+        for n in (0, 3):
+            counted = tabulate(run_trials(spec, model, seed=1, n_trials=n))
+            assert counted.counts.shape[-1] == width and counted.binned == (width > 1)
     bad = synthetic_log(
         x=[1], y=[1], a=[1], b=[1], model=MODEL_LHV,
         lam={"strategy": np.array([16], dtype=np.int16)},
@@ -375,7 +375,8 @@ def test_cached_cells_equal_direct_sums(n_bins, seed, friends_defined):
     if friends_defined:
         counts[:, :, :, :, 2] = counts[:, :, :, :, :, 2] = 0
     original = counts.copy()
-    table = CountTable(counts, n_bins > 1)
+    table = CountTable(counts)
+    assert table.binned == (n_bins > 1)
     np.testing.assert_array_equal(table.cells, counts.sum(axis=6))
     assert not table.cells.flags.writeable
     np.testing.assert_array_equal(table.behavior(), counts.sum(axis=(4, 5, 6)))
@@ -390,3 +391,20 @@ def test_cached_cells_equal_direct_sums(n_bins, seed, friends_defined):
     assert table.friends_defined() == defined
     assert defined or not friends_defined
     np.testing.assert_array_equal(counts, original)
+
+
+@given(last=st.integers(1, LAMBDA_BINS - 2), seed=st.integers(0, 2**32 - 1))
+def test_settings_independence_ignores_empty_top_lambda_bins(last, seed):
+    # A model's table always has LAMBDA_BINS bins; a campaign that leaves
+    # the top ones empty (lhv on fewer strategies) must get the verdict of
+    # the table that ends at its last used bin, float for float: zero bins
+    # in a float sum can change its rounding.
+    rng = np.random.default_rng(seed)
+    used = rng.integers(0, 1_000, size=(2, 2, 2, 2, 3, 3, last + 1))
+    used[..., last] += 1  # bin `last` holds trials
+    counts = np.zeros((2, 2, 2, 2, 3, 3, LAMBDA_BINS), dtype=np.int64)
+    counts[..., :last + 1] = used
+    padded = check_settings_independence(CountTable(counts)).to_dict()
+    cut = check_settings_independence(CountTable(used)).to_dict()
+    assert padded["statistic"] is not None
+    assert padded == cut

@@ -193,7 +193,8 @@ def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, model
 
 
 # every (scenario, model) pair a campaign can run, and lhv on six strategies,
-# whose lambda axis ends at bin 5 while most chunks of seven trials end lower
+# which leaves lambda bins 6..15 empty, so the settings-independence check
+# cuts its lambda axis after bin 5
 CHUNK_CASES = [(kind, model, None) for model in MODEL_NAMES for kind in MODELS[model].kinds]
 CHUNK_CASES.append((BRUKNER_EWFS, MODEL_LHV, LhvOptions((1 / 6,) * 6 + (0.0,) * 10)))
 
@@ -255,7 +256,8 @@ def test_csv_rows_match_a_csv_writer_reference(tmp_path, lam):
     cells = list(itertools.product((1, 2), (1, 2), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0)))
     log = synthetic_log(*zip(*cells), lam=lam)
     log.first_trial = 5
-    harness._write_csv(tmp_path / "runs.csv", log)
+    with harness._open_csv(tmp_path / "runs.csv") as handle:
+        harness._write_rows(handle, log)
     assert (tmp_path / "runs.csv").read_bytes() == _csv_writer_reference(log)
 
 
@@ -288,7 +290,8 @@ def test_csv_rows_match_the_reference_across_digit_counts(
     cells = list(itertools.product((1, 2), (1, 2), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0)))
     log = synthetic_log(*zip(*cells), lam=lam)
     log.first_trial = first_trial
-    harness._write_csv(tmp_path / "runs.csv", log)
+    with harness._open_csv(tmp_path / "runs.csv") as handle:
+        harness._write_rows(handle, log)
     assert (tmp_path / "runs.csv").read_bytes() == _csv_writer_reference(log)
 
 
@@ -342,7 +345,8 @@ def _per_row_tags(lam, lo, hi):
 def test_lambda_tags_match_per_row_formatting(tmp_path, monkeypatch, model, options):
     log = run_trials(default_scenario(BRUKNER_EWFS, 3_000), model, seed=3, options=options)
     monkeypatch.setattr(harness, "CSV_BLOCK", 1_234)
-    harness._write_csv(tmp_path / "runs.csv", log)
+    with harness._open_csv(tmp_path / "runs.csv") as handle:
+        harness._write_rows(handle, log)
     rows = (tmp_path / "runs.csv").read_bytes().decode().split("\r\n")[1:-1]
     tags = [row.split(",", 7)[7] for row in rows]
     assert tags == _per_row_tags(log.lam, 0, 3_000)
@@ -555,7 +559,10 @@ def test_cli_empty_setting_pair_writes_no_file(tmp_path, capsys, fmt):
 
 def test_cli_compare_bad_file_exits_2(tmp_path, capsys):
     _usage_error(["--compare", str(tmp_path / "missing.json")], capsys)
-    for text in ("[{", '{"scenario": "ewfs"}', "[1, 2]", '[{"model": "lhv"}]'):
+    for text in (
+        "[{", '{"scenario": "ewfs"}', "[1, 2]", '[{"model": "lhv"}]',
+        "[" * 100_000,  # nested past the parser's recursion limit
+    ):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert _usage_error(["--compare", str(path)], capsys).count("\n") == 1
