@@ -23,13 +23,15 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import assumptions as assumptions_mod
-from . import inequality
+# Settings are drawn through models.sample_settings_block, the attribute that
+# perfbench's tracer wraps (tests/test_benchmark_contract.py).
+from . import inequality, models
 from .models import (
     MODEL_NAMES,
     MODEL_TOY,
@@ -44,7 +46,6 @@ from .scenario import (
     STANDARD_BELL,
     ScenarioSpec,
     default_scenario,
-    sample_settings_block,
 )
 
 EXIT_OK = 0
@@ -122,17 +123,28 @@ class CampaignResult:
     config: CampaignConfig
     inequality: inequality.InequalityReport
     assumptions: assumptions_mod.AssumptionReport | None
-    report: dict = field(default_factory=dict)
-    chunk_log: RunLog | None = field(default=None, repr=False)
+    report: dict
 
     @functools.cached_property
     def log(self) -> RunLog:
-        """The campaign's run log.  A one-chunk campaign keeps its chunk's
-        log; a longer one runs its chunks again on first access, and row i,
-        a pure function of (seed, i), is the row it counted."""
-        if self.chunk_log is not None:
-            return self.chunk_log
-        return _joined_log(self.config)
+        """The whole run log, built on first access by running the chunks
+        again: row i, a pure function of (seed, i), is the row the campaign
+        counted.  Each chunk is copied into columns allocated once, so no
+        draw spans the whole range."""
+        config, trials = self.config, self.config.scenario.trials
+        xs, ys = models.sample_settings_block(config.scenario, config.seed, trials)
+        log = None
+        for chunk in _chunks(config):
+            if log is None:
+                outcomes = (np.empty(trials, c.dtype) for c in (chunk.a, chunk.b, chunk.c, chunk.d))
+                lam = {name: np.empty(trials, c.dtype) for name, c in chunk.lam.items()}
+                log = RunLog(chunk.model, xs, ys, *outcomes, lam)
+            rows = slice(chunk.first_trial, chunk.first_trial + len(chunk))
+            for name in "abcd":
+                getattr(log, name)[rows] = getattr(chunk, name)
+            for name, column in chunk.lam.items():
+                log.lam[name][rows] = column
+        return log
 
 
 def _report_dict(config: CampaignConfig, ineq: inequality.InequalityReport, assum) -> dict:
@@ -199,7 +211,7 @@ def _check_setting_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
     inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
 
 
-def _chunk_logs(config: CampaignConfig):
+def _chunks(config: CampaignConfig):
     """The campaign's run log in consecutive blocks of ``CHUNK`` trials."""
     spec, trials = config.scenario, config.scenario.trials
     for lo in range(0, trials, CHUNK):
@@ -209,32 +221,12 @@ def _chunk_logs(config: CampaignConfig):
         )
 
 
-def _joined_log(config: CampaignConfig) -> RunLog:
-    """The whole run log, equal to a whole-range ``run_trials``: its
-    settings are the whole block, and each chunk is copied into columns
-    allocated once, so no draw spans the whole range."""
-    trials = config.scenario.trials
-    xs, ys = sample_settings_block(config.scenario, config.seed, trials)
-    log = None
-    for chunk in _chunk_logs(config):
-        if log is None:
-            outcomes = (np.empty(trials, c.dtype) for c in (chunk.a, chunk.b, chunk.c, chunk.d))
-            lam = {name: np.empty(trials, c.dtype) for name, c in chunk.lam.items()}
-            log = RunLog(chunk.kind, chunk.model, xs, ys, *outcomes, lam)
-        rows = slice(chunk.first_trial, chunk.first_trial + len(chunk))
-        for name in "abcd":
-            getattr(log, name)[rows] = getattr(chunk, name)
-        for name, column in chunk.lam.items():
-            log.lam[name][rows] = column
-    return log
-
-
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute every trial chunk by chunk, analyse the summed count table,
     and write any requested files."""
     trials = config.scenario.trials
     # the whole block, drawn once: each chunk's settings are a memo hit
-    xs, ys = sample_settings_block(config.scenario, config.seed, trials)
+    xs, ys = models.sample_settings_block(config.scenario, config.seed, trials)
     out = None if config.out_dir is None else Path(config.out_dir)
     write_csv = out is not None and "csv" in config.formats
     if write_csv:
@@ -242,7 +234,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         out.mkdir(parents=True, exist_ok=True)
     counts = None
     with _open_csv(out / "runs.csv") if write_csv else contextlib.nullcontext() as rows:
-        for log in _chunk_logs(config):
+        for log in _chunks(config):
             part = inequality.tabulate(log).counts
             if counts is None:
                 counts = part
@@ -260,7 +252,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         # number it holds
         text = json.dumps(report, indent=2, sort_keys=True, default=np.generic.item)
         (out / "report.json").write_text(text + "\n")
-    return CampaignResult(config, ineq, assum, report, log if len(log) == trials else None)
+    return CampaignResult(config, ineq, assum, report)
 
 
 def _verdict_text(passed: bool | None) -> str:
@@ -276,7 +268,7 @@ def compare_models(configs: list[CampaignConfig]) -> list[dict]:
     # runs and writes its files
     for config in configs:
         _check_setting_pairs(
-            *sample_settings_block(config.scenario, config.seed, config.scenario.trials)
+            *models.sample_settings_block(config.scenario, config.seed, config.scenario.trials)
         )
     rows = []
     for config in configs:

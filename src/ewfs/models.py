@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class RunLog:
     ids) aligned with trials.
     """
 
-    kind: str
     model: str
     x: np.ndarray
     y: np.ndarray
@@ -94,7 +93,7 @@ class RunLog:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    lam: dict[str, np.ndarray] = field(default_factory=dict)
+    lam: dict[str, np.ndarray]
     first_trial: int = 0
 
     def __len__(self) -> int:
@@ -193,14 +192,17 @@ _LAB_PAIR_TABLES = np.array([float.fromhex(h) for h in """
 _LAB_PAIR_TABLES.setflags(write=False)
 
 
-def ewfs_outcome_tables(spec: ScenarioSpec) -> dict:
-    """Joint (A, B) distribution per setting pair for purely unitary friend
-    measurements on Brukner's state: read-only views of the lab-pair tables."""
-    return {
-        (x, y): _LAB_PAIR_TABLES["ZX".index(kind_a), "ZX".index(kind_b)]
-        for x, kind_a in enumerate(spec.alice_settings, start=1)
-        for y, kind_b in enumerate(spec.bob_settings, start=1)
-    }
+def ewfs_outcome_tables(spec: ScenarioSpec) -> np.ndarray:
+    """Joint (A, B) distribution of each setting pair p = 2(x - 1) + (y - 1)
+    for purely unitary friend measurements on Brukner's state: a read-only
+    (4, 2, 2) array of the lab-pair tables."""
+    tables = np.array([
+        _LAB_PAIR_TABLES["ZX".index(kind_a), "ZX".index(kind_b)]
+        for kind_a in spec.alice_settings
+        for kind_b in spec.bob_settings
+    ])
+    tables.setflags(write=False)
+    return tables
 
 
 def _sample_discrete(weights, u: np.ndarray) -> np.ndarray:
@@ -229,16 +231,15 @@ def _bit_signs(value: np.ndarray, bit) -> np.ndarray:
     return 1 - 2 * ((value >> bit) & 1)
 
 
-def _joint_outcomes(tables: dict, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (A, B) in {+1,-1} per trial from the 2x2 probability table of
-    its setting pair p = 2(x - 1) + (y - 1).  The outcome index
-    2[A=-1] + [B=-1] is sum_j [cum_j <= u] over the first three entries of
-    the table's cumsum: searchsorted(cum, u, "right") clipped to 3, because
-    a cumsum of nonnegative entries never decreases.  Row j of ``cum`` holds
-    entry j of every pair's cumsum, so each threshold is one 1-D gather."""
-    cum = np.empty((4, 4))
-    for (x, y), table in tables.items():
-        cum[:, 2 * (x - 1) + (y - 1)] = np.cumsum(table.reshape(-1))
+def _joint_outcomes(tables: np.ndarray, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (A, B) in {+1,-1} per trial from the 2x2 probability table
+    ``tables[p]`` of its setting pair p = 2(x - 1) + (y - 1).  The outcome
+    index 2[A=-1] + [B=-1] is sum_j [cum_j <= u] over the first three
+    entries of the table's cumsum: searchsorted(cum, u, "right") clipped to
+    3, because a cumsum of nonnegative entries never decreases.  Row j of
+    ``cum`` holds entry j of every pair's cumsum, so each threshold is one
+    1-D gather."""
+    cum = np.cumsum(tables.reshape(4, 4), axis=1).T
     p = (2 * xs + ys - 3).astype(np.intp)
     idx = (cum[0].take(p) <= u).view(np.int8)
     idx += cum[1].take(p) <= u
@@ -295,11 +296,9 @@ def _sample_toy(spec, xs, ys, u, opts):
         # Friends draw C, D from the hidden angles (uncorrelated wings);
         # superobserver outcomes mimic collapse-model quantum correlations
         # at the configured angles, independently of C and D.
-        tables = {
-            (x, y): singlet_joint_probs(opts.alice_angles[x - 1], opts.bob_angles[y - 1])
-            for x in (1, 2)
-            for y in (1, 2)
-        }
+        tables = np.array([
+            singlet_joint_probs(a, b) for a in opts.alice_angles for b in opts.bob_angles
+        ])
         a, b = _joint_outcomes(tables, xs, ys, u[:, 4])
         return a, b, out1, out2, lam
     # Standard Bell: the parties measure the particles directly, so outcomes
@@ -395,4 +394,4 @@ def run_trials(
     a, b, c, d, lam = entry.sample(spec, xs, ys, u, options)
     if c is None:  # the model assigns no friend outcomes
         c, d = (np.full(n_trials, UNDEFINED, dtype=np.int8) for _ in "cd")
-    return RunLog(spec.kind, model, xs, ys, a, b, c, d, lam, first_trial)
+    return RunLog(model, xs, ys, a, b, c, d, lam, first_trial)

@@ -14,14 +14,13 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def synthetic_log(x, y, a, b, c=None, d=None, kind="ewfs", model="synthetic", lam=None):
+def synthetic_log(x, y, a, b, c=None, d=None, model="synthetic", lam=None):
     """Hand-built array log for targeted statistics tests.  The default
     model name declares no lambda binning, so no payload is needed."""
     n = len(x)
     as_i8 = lambda v: np.asarray(v, dtype=np.int8)
     zeros = np.zeros(n, dtype=np.int8)
     return RunLog(
-        kind,
         model,
         as_i8(x),
         as_i8(y),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ewfs import harness, inequality
+from ewfs import harness, inequality, scenario
 from ewfs.models import MODEL_LHV, MODEL_TOY, RunLog
 from ewfs.scenario import BRUKNER_EWFS, default_scenario
 
@@ -45,6 +45,7 @@ def _campaign(model, out_dir):
 @pytest.mark.parametrize("model", [MODEL_LHV, MODEL_TOY])
 def test_traced_campaign_writes_the_untraced_report(tracer_module, tmp_path, model):
     harness.run_campaign(_campaign(model, tmp_path / "untraced"))
+    scenario._settings_block.clear()  # the traced campaign draws its settings
     tracer = tracer_module.Tracer()
     tracer.campaign = 1
     tracer.install()
@@ -68,6 +69,9 @@ def test_traced_campaign_writes_the_untraced_report(tracer_module, tmp_path, mod
     ):
         assert names.count(name) == 1, name
     assert tracer.counts["inequality.lp_attempts"] == 1
+    # the whole-block settings draw is timed as settings sampling
+    draw = next(span for span in tracer.spans if span[0] == "streams.uniform_block")
+    assert tracer.spans[draw[3]][0] == "scenario.sample_settings_block"
 
     assert isinstance(result.log, RunLog) and len(result.log) == 3_000
     chain = inequality.verify_derivation_chain(result.log)

@@ -218,7 +218,7 @@ def test_campaign_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, kind, 
     def campaign(out):
         return run_campaign(CampaignConfig(spec, model, seed=4, model_options=options, out_dir=out))
 
-    # 3,000 trials are one chunk at the default size: the result keeps its log
+    # 3,000 trials are one chunk at the default size, whose log is built again too
     assert harness.CHUNK >= 3_000
     assert _log_bytes(campaign(tmp_path / "default").log) == whole
     files = ("report.json", "runs.csv")
@@ -969,41 +969,46 @@ def _python(*args):
     )
 
 
-def test_harness_import_leaves_scipy_stats_out():
+_IMPORT_GRAPH = """
+import sys, ewfs.harness as h
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
+      'csv' in sys.modules, 'ewfs.qcore' in sys.modules)
+def run(scenario, model, trials):
+    config = h.config_from_dict({'scenario': scenario, 'model': model, 'trials': trials})
+    return h.run_campaign(config)
+runs = [run('ewfs', m, 3000) for m in ('lhv', 'unitary-qm')]
+print([r.inequality.polytope.cause for r in runs], h.inequality._highs_model.cache_info())
+runs = [run(s, m, 2000) for s, m in %r]
+print(len(runs), 'ewfs.qcore' in sys.modules)
+""" % (_SUPPORTED,)
+
+
+@pytest.fixture(scope="module")
+def import_graph():
+    # One child interpreter serves both import-graph tests: the spawn is
+    # almost all of their time.
+    done = _python("-c", _IMPORT_GRAPH)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_harness_import_leaves_scipy_stats_out(import_graph):
     # No scipy module is loaded by the import; the first LP builds the HiGHS
     # model, and the second campaign's LP reuses it.
-    done = _python(
-        "-c",
-        "import sys, ewfs.harness as h; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-        "'csv' in sys.modules); "
-        "runs = [h.run_campaign(h.config_from_dict("
-        "{'scenario': 'ewfs', 'model': m, 'trials': 3000})) for m in ('lhv', 'unitary-qm')]; "
-        "print([r.inequality.polytope.cause for r in runs], "
-        "h.inequality._highs_model.cache_info())",
-    )
-    assert done.returncode == 0, done.stderr
-    imported, campaigns = done.stdout.splitlines()
-    assert imported == "[] False"
+    imported, campaigns, _ = import_graph
+    assert imported.startswith("[] False ")
     # both campaigns reach the LP (cause None or "chsh"), and one model serves them
     assert campaigns == (
         "[None, 'chsh'] CacheInfo(hits=1, misses=1, maxsize=None, currsize=1)"
     )
 
 
-def test_campaigns_leave_the_qcore_derivation_out():
+def test_campaigns_leave_the_qcore_derivation_out(import_graph):
     # unitary-qm samples the pinned lab-pair tables; qcore, the reference
     # derivation of them, is loaded by neither the import nor a campaign.
-    done = _python(
-        "-c",
-        "import sys, ewfs.harness as h; "
-        "print('ewfs.qcore' in sys.modules); "
-        "runs = [h.run_campaign(h.config_from_dict("
-        "{'scenario': s, 'model': m, 'trials': 2000})) for s, m in %r]; "
-        "print(len(runs), 'ewfs.qcore' in sys.modules)" % (_SUPPORTED,),
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["False", "7 False"]
+    imported, _, supported = import_graph
+    assert imported.endswith(" False")
+    assert supported == "7 False"
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -1,11 +1,14 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import chi2
 
 from conftest import analytic_expectations, singlet, spin_projectors
+from test_golden import SKEWED_WEIGHTS
 from ewfs import inequality, models, qcore
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
@@ -15,6 +18,7 @@ from ewfs.models import (
     MODEL_TOY,
     MODEL_UNITARY_QM,
     MODELS,
+    LAMBDA_BINS,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
     RunLog,
@@ -175,15 +179,17 @@ def test_collapse_bell_rows_follow_the_qcore_tables(alice, bob):
     np.testing.assert_array_equal(log.b, np.where(u[:, 1] < np.where(a_plus, p_up, p_dn), 1, -1))
 
 
+_PAIRS = [(1, 1), (1, 2), (2, 1), (2, 2)]  # (x, y) of setting pair p = 2(x - 1) + (y - 1)
+
+
 def test_ewfs_tables_are_distributions():
     from ewfs.qcore import brukner_state
 
     spec = default_scenario(BRUKNER_EWFS, 10)
     tables = ewfs_outcome_tables(spec)
     exact = analytic_expectations(brukner_state(), spec)
-    assert set(tables) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    for (x, y), table in tables.items():
-        assert table.shape == (2, 2)
+    assert tables.shape == (4, 2, 2)
+    for (x, y), table in zip(_PAIRS, tables):
         assert table.min() >= 0
         assert abs(table.sum() - 1.0) < 1e-12
         correlator = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
@@ -215,7 +221,7 @@ def test_lab_joint_probabilities_rejects_weight_outside_pointer_subspace():
 
 
 def test_ewfs_tables_are_read_only():
-    for table in ewfs_outcome_tables(default_scenario(BRUKNER_EWFS, 10)).values():
+    for table in ewfs_outcome_tables(default_scenario(BRUKNER_EWFS, 10)):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
@@ -285,7 +291,8 @@ def _ref_joint_outcomes(tables, xs, ys, u):
 
 
 def _ref_unitary_qm(spec, xs, ys, u, options):
-    a, b = _ref_joint_outcomes(ewfs_outcome_tables(spec), xs, ys, u[:, 0])
+    tables = dict(zip(_PAIRS, ewfs_outcome_tables(spec)))
+    a, b = _ref_joint_outcomes(tables, xs, ys, u[:, 0])
     c = np.where(xs == 1, a, UNDEFINED).astype(np.int8)
     d = np.where(ys == 1, b, UNDEFINED).astype(np.int8)
     return a, b, c, d, {}
@@ -359,7 +366,7 @@ def _reference_log(spec, model, seed, options, first, n):
     a, b, c, d, lam = _REFERENCE[model](spec, xs, ys, u, options)
     if c is None:
         c, d = (np.full(n, UNDEFINED, dtype=np.int8) for _ in "cd")
-    return RunLog(spec.kind, model, xs, ys, a, b, c, d, lam, first)
+    return RunLog(model, xs, ys, a, b, c, d, lam, first)
 
 
 def _bell(phi, trials):
@@ -583,6 +590,79 @@ def test_lhv_friends_match_setting_one_strategy_values():
     np.testing.assert_array_equal(log.d, strat[idx, 2])
     np.testing.assert_array_equal(log.a, strat[idx, log.x - 1])
     np.testing.assert_array_equal(log.b, strat[idx, 2 + log.y - 1])
+
+
+# --- exact laws ------------------------------------------------------------
+# Each law is built from the model's physics over the count table's cells
+# (x, y, a, b, c, d, lambda-bin), with uniform settings; a campaign's counts
+# are G-tested against it at one fixed seed and level.
+
+_G_SEED = 17
+_G_LEVEL = 1e-6  # familywise, Bonferroni over the cases
+_BLANK = 2  # the C/D index of an undefined friend outcome
+
+
+def _index(value):
+    """A +/-1 outcome's axis index: +1 -> 0, -1 -> 1."""
+    return (1 - value) // 2
+
+
+def _lhv_law(kind, weights):
+    """w_s/4 on the one cell strategy s fixes at (x, y), in lambda bin s; the
+    friends report the setting-1 values in the EWFS."""
+    law = np.zeros((2, 2, 2, 2, 3, 3, LAMBDA_BINS))
+    for s, (a1, a2, b1, b2) in enumerate(lhv_strategies().tolist()):
+        c, d = (_index(a1), _index(b1)) if kind == BRUKNER_EWFS else (_BLANK, _BLANK)
+        for (x, a), (y, b) in itertools.product(enumerate((a1, a2)), enumerate((b1, b2))):
+            law[x, y, _index(a), _index(b), c, d, s] += weights[s] / 4
+    return law
+
+
+def _collapse_law(spec):
+    """EWFS: C a fair coin, D = -C, A = C at x = 1 and B = D at y = 1, fair
+    coins otherwise.  Bell: the singlet, (1 - ab cos(alpha - beta)) / 4."""
+    law = np.zeros((2, 2, 2, 2, 3, 3, 1))
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        if spec.kind == BRUKNER_EWFS:
+            for c in (0, 1):
+                p_a = (a == c) if x == 0 else 0.5
+                p_b = (b == 1 - c) if y == 0 else 0.5
+                law[x, y, a, b, c, 1 - c, 0] = p_a * p_b / 8
+        else:
+            cos = math.cos(spec.alice_settings[x] - spec.bob_settings[y])
+            law[x, y, a, b, _BLANK, _BLANK, 0] = (1 - (1 - 2 * a) * (1 - 2 * b) * cos) / 16
+    return law
+
+
+_G_CASES = [
+    *(
+        (kind, MODEL_LHV, options, 200_000, _lhv_law(kind, options.weights))
+        for options in (LhvOptions(), SKEWED_WEIGHTS)
+        for kind in (STANDARD_BELL, BRUKNER_EWFS)
+    ),
+    *(
+        (kind, MODEL_COLLAPSE, None, 1_000_000, _collapse_law(default_scenario(kind, 1)))
+        for kind in (STANDARD_BELL, BRUKNER_EWFS)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,model,options,trials,law",
+    _G_CASES,
+    ids=[f"{kind}-{model}-{i}" for i, (kind, model, *_) in enumerate(_G_CASES)],
+)
+def test_counts_fit_the_exact_law(kind, model, options, trials, law):
+    assert abs(law.sum() - 1) < 1e-12
+    log = run_trials(default_scenario(kind, trials), model, seed=_G_SEED, options=options)
+    counts = inequality.tabulate(log).counts
+    assert counts.shape == law.shape
+    assert not counts[law == 0].any(), "a count on a zero of the law"
+    observed, expected = counts[law > 0], trials * law[law > 0]
+    seen = observed > 0
+    g = 2 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+    p = chi2.sf(g, df=observed.size - 1)
+    assert p * len(_G_CASES) >= _G_LEVEL, (g, p)
 
 
 # --- log plumbing ----------------------------------------------------------
