@@ -58,13 +58,7 @@ class AssumptionCheck:
     cell_sizes: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "detail": self.detail,
-            "cell_sizes": self.cell_sizes,
-        }
+        return dict(vars(self))
 
 
 @dataclass

@@ -377,7 +377,9 @@ def config_from_dict(data: dict) -> CampaignConfig:
     kind, model = data["scenario"], data["model"]
     trials = _typed(data, "trials", 10_000, int)
     if "alice_settings" in data or "bob_settings" in data:
-        scenario = ScenarioSpec(kind, data["alice_settings"], data["bob_settings"], trials)
+        keys = ("alice_settings", "bob_settings")  # both required: data[key] raises KeyError
+        alice, bob = (_typed(data, key, data[key], list, tuple) for key in keys)
+        scenario = ScenarioSpec(kind, alice, bob, trials)
     else:
         scenario = default_scenario(kind, trials)
     options_class = model_entry(kind, model)[0].options

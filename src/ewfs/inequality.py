@@ -231,19 +231,13 @@ class PolytopeVerdict:
     """LP membership verdict with the mixing weights as certificate."""
 
     member: bool
-    weights: np.ndarray | None
+    weights: list[float] | None
     residual: float
     tolerance: float
     cause: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "member": bool(self.member),
-            "weights": None if self.weights is None else [float(w) for w in self.weights],
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "cause": self.cause,
-        }
+        return dict(vars(self))
 
 
 # The LP over 16 strategy weights w and a slack t: min t subject to
@@ -332,20 +326,16 @@ def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeV
     """
     if not np.isfinite(probs).all():
         raise ValueError("behavior holds NaN or infinity")
+    tol = float(tol)
     if not decide(signaling_measure(probs), tol):
         return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
     x = linprog(probs.reshape(-1))
     if x is None:
         return PolytopeVerdict(False, None, np.inf, tol, cause="lp-failure")
     residual = float(x[16])
-    member = decide(residual, tol)
-    return PolytopeVerdict(
-        member,
-        x[:16] if member else None,
-        residual,
-        tol,
-        cause=None if member else "chsh",
-    )
+    if decide(residual, tol):
+        return PolytopeVerdict(True, x[:16].tolist(), residual, tol)
+    return PolytopeVerdict(False, None, residual, tol, cause="chsh")
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +347,9 @@ class IdentityCheck:
     label: str
     lhs: float
     rhs: float
+    delta: float
     se: float
-    k: float
-
-    @property
-    def delta(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def holds(self) -> bool:
-        return decide(self.delta, self.k * self.se + 1e-12)
+    holds: bool
 
 
 @dataclass
@@ -380,17 +363,7 @@ class DerivationChainReport:
     def to_dict(self) -> dict:
         return {
             "all_hold": self.all_hold,
-            "identities": [
-                {
-                    "label": i.label,
-                    "lhs": i.lhs,
-                    "rhs": i.rhs,
-                    "delta": i.delta,
-                    "se": i.se,
-                    "holds": i.holds,
-                }
-                for i in self.identities
-            ],
+            "identities": [dict(vars(i)) for i in self.identities],
         }
 
 
@@ -433,7 +406,9 @@ def verify_derivation_chain(log: RunLog, k: float = 3.0) -> DerivationChainRepor
     identities = []
     for label, lhs_spec, rhs_spec in chain:
         (lhs, se_l), (rhs, se_r) = corr(*lhs_spec), corr(*rhs_spec)
-        identities.append(IdentityCheck(label, lhs, rhs, math.sqrt(se_l**2 + se_r**2), k))
+        delta, se = abs(lhs - rhs), math.sqrt(se_l**2 + se_r**2)
+        holds = decide(delta, k * se + 1e-12)
+        identities.append(IdentityCheck(label, lhs, rhs, delta, se, holds))
     return DerivationChainReport(identities)
 
 

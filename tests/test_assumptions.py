@@ -14,7 +14,7 @@ from ewfs.assumptions import (
     check_settings_independence,
 )
 from ewfs.harness import CampaignConfig, run_campaign
-from ewfs.inequality import tabulate
+from ewfs.inequality import tabulate, verify_derivation_chain
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
@@ -203,10 +203,29 @@ def test_report_serialization():
 ])
 def test_verdicts_are_python_native_types(kind, model):
     # Dict equality and json.dump(default=np.generic.item) both let a numpy
-    # scalar through, so check the types themselves.
+    # scalar through, so check the types themselves.  Each record's to_dict
+    # copies its fields as they are, so the records are built native.
     result = run_campaign(CampaignConfig(default_scenario(kind, 3_000), model))
     for check in result.assumptions.checks.values():
         assert type(check.statistic) in (float, type(None))
         assert type(check.passed) in (bool, type(None))
         assert all(type(n) is int for n in check.cell_sizes.values())
     assert type(result.inequality.polytope.member) is bool
+    trees = [result.report]
+    if tabulate(result.log).friends_defined():
+        trees.append(verify_derivation_chain(result.log).to_dict())
+    for tree in trees:
+        for path, leaf in _leaves(tree):
+            assert type(leaf) in (type(None), bool, int, float, str), (path, type(leaf))
+
+
+def _leaves(tree, path=()):
+    """(path, value) of every leaf under JSON dicts and lists."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path, tree

@@ -627,6 +627,19 @@ def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
     assert err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize("key", ["alice_settings", "bob_settings"])
+@pytest.mark.parametrize("bad", ["ZX", {"Z": 1, "X": 2}, None, 5])
+def test_cli_compare_settings_that_are_not_lists_exit_2(tmp_path, capsys, key, bad):
+    # "ZX" and {"Z": 1, "X": 2} used to run as ("Z", "X"); null and 5 exited
+    # 2 with a message that did not name the key.
+    campaign = {"scenario": "ewfs", "model": "lhv", "alice_settings": ["Z", "X"],
+                "bob_settings": ["Z", "X"], key: bad}
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([campaign, {"scenario": "ewfs", "model": "lhv"}]))
+    err = _usage_error(["--compare", str(path)], capsys)
+    assert err.count("\n") == 1 and key in err
+
+
 @pytest.mark.parametrize(
     "campaign,word",
     [

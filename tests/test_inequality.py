@@ -276,22 +276,27 @@ def test_lp_rejects_nan_behavior_arrays():
     probs[1, 1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         local_polytope_feasible(probs)
-    # HiGHS given a non-finite bound can kill the interpreter, so each call
-    # runs in a child of its own
+    # HiGHS given a non-finite bound can kill the interpreter, so the calls
+    # run in a child, in order, each printed before it runs: a child that
+    # dies names its call last
     src = str(Path(inequality.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import numpy as np\nfrom ewfs.inequality import linprog, local_polytope_feasible\n"
     for call in _NON_FINITE_CALLS:
-        code = (
-            "import numpy as np\n"
-            "from ewfs.inequality import linprog, local_polytope_feasible\n"
-            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
+        code += (
+            f"print({call!r}, flush=True)\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc, flush=True)\n"
+            "else:\n    print('no ValueError', flush=True)\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert (done.returncode, done.stdout) == (0, "behavior holds NaN or infinity\n"), (
-            call, done.returncode, done.stderr
-        )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    lines = done.stdout.splitlines()
+    calls = lines[0::2]
+    assert done.returncode == 0, (calls[-1:], done.returncode, done.stderr)
+    assert calls == _NON_FINITE_CALLS
+    for call, message in zip(calls, lines[1::2], strict=True):
+        assert message == "behavior holds NaN or infinity", call
 
 
 # --- CHSH facets -----------------------------------------------------------

@@ -251,9 +251,9 @@ def test_single_trial_reproduces_batch_records(model, kind):
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
-def test_parallel_equals_sequential(model):
-    """Independent 1,700-trial blocks, as a parallel runner would compute
-    them, equal one sequential block."""
+def test_uneven_blocks_join_to_the_whole_log(model):
+    """1,700-trial blocks, the last one shorter, join to the log of the
+    whole 10,000-trial range, column by column."""
     spec = default_scenario(BRUKNER_EWFS, 10_000)
     whole = run_trials(spec, model, seed=1)
     blocks = [
@@ -634,6 +634,47 @@ def _collapse_law(spec):
     return law
 
 
+def _unitary_qm_law(spec):
+    """(A, B) from the Born table of the lab pair on Brukner's state in the
+    lab bases of (x, y); C = A at x = 1 and D = B at y = 1, blank otherwise."""
+    lab_state = qcore.lab_pair_state(qcore.brukner_state())
+    law = np.zeros((2, 2, 2, 2, 3, 3, 1))
+    for (x, kind_a), (y, kind_b) in itertools.product(
+        enumerate(spec.alice_settings), enumerate(spec.bob_settings)
+    ):
+        born = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
+        for a, b in itertools.product((0, 1), repeat=2):
+            c, d = a if x == 0 else _BLANK, b if y == 0 else _BLANK
+            law[x, y, a, b, c, d, 0] = born[a, b] / 4
+    return law
+
+
+def _toy_law(kind, options):
+    """Hidden angles uniform on [0, pi), binned 4 q1 + q2 by quarter; an
+    angle's outcome is +1 with the mean of cos^2 over its quarter,
+    1/2 + (sin 2 theta_hi - sin 2 theta_lo) / pi.  Bell: A and B are the
+    angle outcomes, C and D blank.  EWFS: C and D are, and (A, B) follows
+    the singlet at the configured angles, (1 - ab cos(alpha - beta)) / 4."""
+    # sin 2 theta at the quarter edges theta = q pi / 4, q = 0..4
+    p_plus = 0.5 + np.diff(np.sin(np.arange(5) * math.pi / 2)) / math.pi
+    p_angle = np.stack([p_plus, 1 - p_plus], axis=1)  # P(outcome | quarter)
+    # P(o1, o2, bin 4 q1 + q2) of the two angle outcomes and their bins
+    angles = np.einsum("ik,jl->klij", p_angle, p_angle).reshape(2, 2, LAMBDA_BINS) / 16
+    law = np.zeros((2, 2, 2, 2, 3, 3, LAMBDA_BINS))
+    if kind == STANDARD_BELL:
+        law[:, :, :, :, _BLANK, _BLANK] = angles / 4
+        return law
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        cos = math.cos(options.alice_angles[x] - options.bob_angles[y])
+        law[x, y, a, b, :2, :2] = angles * (1 - (1 - 2 * a) * (1 - 2 * b) * cos) / 16
+    return law
+
+
+# Negative angles whose cos(alpha - beta) table differs from TOY_OPTIMAL_CHSH's.
+_TOY_NEGATIVE = ToyOptions(
+    alice_angles=(-math.pi / 3, -math.pi / 2), bob_angles=(-math.pi / 6, -2 * math.pi / 3)
+)
+
 _G_CASES = [
     *(
         (kind, MODEL_LHV, options, 200_000, _lhv_law(kind, options.weights))
@@ -643,6 +684,19 @@ _G_CASES = [
     *(
         (kind, MODEL_COLLAPSE, None, 1_000_000, _collapse_law(default_scenario(kind, 1)))
         for kind in (STANDARD_BELL, BRUKNER_EWFS)
+    ),
+    (
+        BRUKNER_EWFS, MODEL_UNITARY_QM, None, 1_000_000,
+        _unitary_qm_law(default_scenario(BRUKNER_EWFS, 1)),
+    ),
+    *(
+        (kind, MODEL_TOY, options, 1_000_000, _toy_law(kind, options or ToyOptions()))
+        for kind, options in (
+            (STANDARD_BELL, None),
+            (BRUKNER_EWFS, None),
+            (BRUKNER_EWFS, TOY_OPTIMAL_CHSH),
+            (BRUKNER_EWFS, _TOY_NEGATIVE),
+        )
     ),
 ]
 
