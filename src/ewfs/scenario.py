@@ -66,13 +66,16 @@ class ScenarioSpec:
     trials: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alice_settings", tuple(self.alice_settings))
-        object.__setattr__(self, "bob_settings", tuple(self.bob_settings))
         if self.kind not in (STANDARD_BELL, BRUKNER_EWFS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        for name, settings in (("alice", self.alice_settings), ("bob", self.bob_settings)):
+        for name in ("alice", "bob"):
+            settings = getattr(self, f"{name}_settings")
+            if not isinstance(settings, (list, tuple)):
+                raise ValueError(f"{name} settings must be a list or a tuple, not {settings!r}")
+            settings = tuple(settings)
+            object.__setattr__(self, f"{name}_settings", settings)
             if len(settings) != 2:
                 raise ValueError(f"{name} needs exactly two settings")
             if self.kind == BRUKNER_EWFS:

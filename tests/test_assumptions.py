@@ -180,10 +180,21 @@ def test_locality_passes_for_honest_toy_model_across_seeds():
 def test_lambda_binners():
     spec = default_scenario(BRUKNER_EWFS, 1_000)
     toy = run_trials(spec, MODEL_TOY, seed=0)
-    bins = toy_theta_bins(toy)
+    # every pair of angles exactly at and one ulp below each k pi/4
+    edges = np.array([k * math.pi / 4 for k in range(5)])
+    edges = np.concatenate([edges, np.nextafter(edges[1:], 0)])
+    theta1 = np.concatenate([toy.lam["theta1"], np.repeat(edges, edges.size)])
+    theta2 = np.concatenate([toy.lam["theta2"], np.tile(edges, edges.size)])
+    ones = np.ones(theta1.size)
+    log = synthetic_log(ones, ones, ones, ones, lam={"theta1": theta1, "theta2": theta2})
+    bins = toy_theta_bins(log)
+    assert bins.dtype == np.int8
+    q1, q2 = (np.minimum((t / (math.pi / 4)).astype(np.int64), 3) for t in (theta1, theta2))
+    np.testing.assert_array_equal(bins, 4 * q1 + q2)
     assert bins.min() >= 0 and bins.max() <= 15
     lhv = run_trials(spec, MODEL_LHV, seed=0)
-    np.testing.assert_array_equal(lhv_strategy_bins(lhv), lhv.lam["strategy"])
+    assert lhv_strategy_bins(lhv) is lhv.lam["strategy"]
+    assert lhv.lam["strategy"].dtype == np.int16
 
 
 def test_report_serialization():

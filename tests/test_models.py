@@ -559,6 +559,28 @@ def test_toy_hidden_angles_and_updates():
     assert abs(p_low - expected) < 0.02
 
 
+def test_friend_coins_match_float64_cos_bitwise():
+    """The float32-screened friend coin against u < np.cos(theta)**2: on
+    10^6 seeded trials, and on ties, u at float64 cos^2 and at its two float
+    neighbours, for 1,029 angles that include 0, pi/2 and the floats next to
+    pi.  Over a dense grid on [0, pi] the float32 cos^2 must stay within an
+    eighth of the margin, so a numpy or a CPU with a worse float32 cosine
+    fails here instead of moving bytes."""
+    seeded = np.random.default_rng(24).random((1_000_000, 2))
+    edges = [0.0, math.pi / 2, np.nextafter(math.pi / 2, 0), np.nextafter(math.pi, 0), math.pi]
+    tie_theta = np.concatenate([edges, np.linspace(0, math.pi, 1_024)])
+    tie = np.cos(tie_theta) ** 2
+    u = np.concatenate([seeded[:, 0], np.nextafter(tie, -1), tie, np.nextafter(tie, 2)])
+    theta = np.concatenate([seeded[:, 1] * math.pi, np.tile(tie_theta, 3)])
+    # strided columns, as the sampler passes them
+    u, theta = np.stack([u, theta], axis=1).T
+    np.testing.assert_array_equal(models._below_cos2(u, theta), u < np.cos(theta) ** 2)
+
+    grid = np.linspace(0, math.pi, 2**21 + 1)
+    screen = np.cos(grid, dtype=np.float32).astype(np.float64) ** 2
+    assert np.abs(screen - np.cos(grid) ** 2).max() <= models._COS2_MARGIN / 8
+
+
 def test_toy_bell_outcomes_ignore_settings():
     spec = default_scenario(STANDARD_BELL, 100_000)
     log = run_trials(spec, MODEL_TOY, seed=7)

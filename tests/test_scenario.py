@@ -59,6 +59,18 @@ def test_bell_angles_must_be_finite(bad):
         ScenarioSpec(STANDARD_BELL, (0.0, 1.0), (bad, 1.0), 10)
 
 
+# only a list (from JSON) or a tuple: any other iterable would otherwise be
+# coerced, "ZX" into ('Z', 'X') and a dict into its keys
+@pytest.mark.parametrize("bad", [
+    "ZX", {"Z": 1, "X": 2}, {"Z", "X"}, iter(("Z", "X")), np.array(["Z", "X"]), None, 5,
+])
+def test_settings_must_be_a_list_or_a_tuple(bad):
+    for name, settings in (("alice", (bad, ("Z", "X"))), ("bob", (("Z", "X"), bad))):
+        with pytest.raises(ValueError, match=f"^{name} settings must be a list or a tuple"):
+            ScenarioSpec(BRUKNER_EWFS, *settings, 3000)
+    assert ScenarioSpec(BRUKNER_EWFS, ["Z", "X"], ("Z", "X"), 3000).alice_settings == ("Z", "X")
+
+
 def test_bell_angles_take_numpy_numbers():
     settings = (np.float64(0.5), np.int64(1)), (np.float32(0.25), 2)
     spec = ScenarioSpec(STANDARD_BELL, *settings, 10)
