@@ -4,10 +4,11 @@ A campaign is (scenario x model x trials) under a master seed.  The seed
 fully determines every output byte: settings come from a dedicated stream,
 each trial owns a fixed window of its model stream, and reports carry no
 timestamps.  Any split of the trial range into ``run_trials`` blocks gives
-the same rows, so a campaign runs in chunks of ``CHUNK`` trials: each chunk
-is sampled, counted into the campaign's count table and written to
-``runs.csv`` before the next one is sampled, and the bytes do not depend on
-``CHUNK``.
+the same rows, so a campaign runs in chunks of ``models.CHUNK`` trials: each
+chunk is one ``run_trials`` call, counted into the campaign's count table
+and written to ``runs.csv`` before the next one is sampled, and the bytes do
+not depend on ``CHUNK``.  ``run_trials`` samples a longer range in ``CHUNK``
+pieces itself, so ``CampaignResult.log`` is one call.
 
 Outputs: a per-run CSV (``trial,X,Y,A,B,C,D,lambda_tag``) and a summary JSON
 with the correlators, CHSH statistics, polytope certificate and assumption
@@ -23,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +47,13 @@ from .scenario import (
     STANDARD_BELL,
     ScenarioSpec,
     default_scenario,
+    finite_real,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OUTPUT = 3
 
-# Trials per pass of the campaign loop.  A chunk's float64 column is 512 KB
-# and toy-theta's draw block 2.6 MB, so they are still in cache when they
-# are counted and written; at 10^6 trials a column is 8 MB and the draw
-# block 40 MB.  A campaign holds one chunk's log, whatever its trial count.
-CHUNK = 1 << 16
 CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
 # Rows formatted per write of runs.csv.  A block's fields exist as Python
 # objects and its rows as one string until the write, so the block bounds
@@ -96,8 +93,9 @@ class CampaignConfig:
     def __post_init__(self):
         model_entry(self.scenario.kind, self.model, self.model_options)
         # From k ~ 38.4 the per-cell level in _familywise_k underflows to 0.
-        if not (math.isfinite(self.k) and 0 < self.k <= 38):
+        if not (finite_real(self.k) and 0 < self.k <= 38):
             raise ValueError(f"k must be a number in (0, 38], got {self.k!r}")
+        self.k = float(self.k)  # k = 3 and k = 3.0 write the same report
 
     def echo(self) -> dict:
         return {
@@ -112,7 +110,7 @@ class CampaignConfig:
             "seed": self.seed,
             "k": self.k,
             "model_options": (
-                None if self.model_options is None else asdict(self.model_options)
+                None if self.model_options is None else dict(vars(self.model_options))
             ),
             "label": self.label,
         }
@@ -127,41 +125,10 @@ class CampaignResult:
 
     @functools.cached_property
     def log(self) -> RunLog:
-        """The whole run log, built on first access by running the chunks
-        again: row i, a pure function of (seed, i), is the row the campaign
-        counted.  Each chunk is copied into columns allocated once, so no
-        draw spans the whole range."""
-        config, trials = self.config, self.config.scenario.trials
-        xs, ys = models.sample_settings_block(config.scenario, config.seed, trials)
-        log = None
-        for chunk in _chunks(config):
-            if log is None:
-                outcomes = (np.empty(trials, c.dtype) for c in (chunk.a, chunk.b, chunk.c, chunk.d))
-                lam = {name: np.empty(trials, c.dtype) for name, c in chunk.lam.items()}
-                log = RunLog(chunk.model, xs, ys, *outcomes, lam)
-            rows = slice(chunk.first_trial, chunk.first_trial + len(chunk))
-            for name in "abcd":
-                getattr(log, name)[rows] = getattr(chunk, name)
-            for name, column in chunk.lam.items():
-                log.lam[name][rows] = column
-        return log
-
-
-def _report_dict(config: CampaignConfig, ineq: inequality.InequalityReport, assum) -> dict:
-    cells = zip(
-        ("x1y1", "x1y2", "x2y1", "x2y2"),
-        ineq.correlators.ravel().tolist(), ineq.errors.ravel().tolist(), ineq.n.ravel().tolist(),
-    )
-    expect = {key: {"E": e, "SE": se, "n": n} for key, e, se, n in cells}
-    report = {
-        "config_echo": config.echo(),
-        "per_setting_counts": {key: cell["n"] for key, cell in expect.items()},
-        "expectations": expect,
-        "verdict": "violated" if ineq.violated else "satisfied",
-        "assumptions": None if assum is None else assum.to_dict(),
-    }
-    report.update(ineq.to_dict())
-    return report
+        """The whole run log, sampled again on first access: row i, a pure
+        function of (seed, i), is the row the campaign counted."""
+        config = self.config
+        return run_trials(config.scenario, config.model, config.seed, options=config.model_options)
 
 
 def _lambda_text(name: str, values: np.ndarray) -> list[str]:
@@ -211,16 +178,6 @@ def _check_setting_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
     inequality.pair_totals(np.bincount(2 * xs + ys - 3, minlength=4).reshape(2, 2))
 
 
-def _chunks(config: CampaignConfig):
-    """The campaign's run log in consecutive blocks of ``CHUNK`` trials."""
-    spec, trials = config.scenario, config.scenario.trials
-    for lo in range(0, trials, CHUNK):
-        yield run_trials(
-            spec, config.model, config.seed, options=config.model_options,
-            first_trial=lo, n_trials=min(CHUNK, trials - lo),
-        )
-
-
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute every trial chunk by chunk, analyse the summed count table,
     and write any requested files."""
@@ -232,20 +189,24 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     if write_csv:
         _check_setting_pairs(xs, ys)
         out.mkdir(parents=True, exist_ok=True)
-    counts = None
+    counts = 0  # the first += makes it an array, which later chunks add into
     with _open_csv(out / "runs.csv") if write_csv else contextlib.nullcontext() as rows:
-        for log in _chunks(config):
-            part = inequality.tabulate(log).counts
-            if counts is None:
-                counts = part
-            else:
-                counts += part
+        for lo in range(0, trials, models.CHUNK):
+            log = run_trials(
+                config.scenario, config.model, config.seed, options=config.model_options,
+                first_trial=lo, n_trials=min(models.CHUNK, trials - lo),
+            )
+            counts += inequality.tabulate(log).counts
             if rows is not None:
                 _write_rows(rows, log)
     table = inequality.CountTable(counts)
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
-    report = _report_dict(config, ineq, assum)
+    report = {
+        "config_echo": config.echo(),
+        "assumptions": None if assum is None else assum.to_dict(),
+        **ineq.to_dict(),
+    }
     if out is not None and "json" in config.formats:
         out.mkdir(parents=True, exist_ok=True)
         # one write; a numpy setting or angle is echoed as the Python
@@ -391,7 +352,7 @@ def config_from_dict(data: dict) -> CampaignConfig:
         scenario=scenario,
         model=model,
         seed=_typed(data, "seed", 0, int),
-        k=float(_typed(data, "k", 3.0, int, float)),
+        k=_typed(data, "k", 3.0, int, float),
         check_assumptions=_typed(data, "check_assumptions", True, bool),
         model_options=options,
         label=_typed(data, "label", "", str),

@@ -433,7 +433,14 @@ class InequalityReport:
     n: np.ndarray  # trials per setting pair
 
     def to_dict(self) -> dict:
+        """The CHSH section of report.json."""
+        columns = (array.ravel().tolist() for array in (self.correlators, self.errors, self.n))
+        cells = zip(("x1y1", "x1y2", "x2y1", "x2y2"), *columns)
+        expect = {key: {"E": e, "SE": se, "n": n} for key, e, se, n in cells}
         return {
+            "per_setting_counts": {key: cell["n"] for key, cell in expect.items()},
+            "expectations": expect,
+            "verdict": "violated" if self.violated else "satisfied",
             "S": self.s,
             "SE": self.se,
             "S_max": self.s_max,

@@ -68,6 +68,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in (STANDARD_BELL, BRUKNER_EWFS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         for name in ("alice", "bob"):

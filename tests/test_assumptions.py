@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ewfs.models import (
     MODEL_UNITARY_QM,
     MODELS,
     TOY_OPTIMAL_CHSH,
+    LhvOptions,
     lhv_strategy_bins,
     run_trials,
     toy_theta_bins,
@@ -129,6 +131,26 @@ def test_settings_independence_fails_for_correlated_hidden_state():
     check = check_settings_independence(tabulate(log))
     assert check.passed is False
     assert check.statistic > 0.4
+
+
+# lhv with unequal weights on strategies 0..5 and none on the other ten, so
+# lambda bins 6..15 hold no trial.  Summing the settings-independence TV
+# over those empty bins too rounds differently and changes this report's
+# sha256, which was recorded once and is not to be edited.
+SIX_STRATEGIES = LhvOptions((
+    0.051924335292003035, 0.2766340512668952, 0.2335090537445271,
+    0.16723225207809017, 0.20370702821251593, 0.06699327940596875,
+) + (0.0,) * 10)
+SIX_STRATEGIES_REPORT = "3423e6eed04a0467e3b925df0ab7c8048c75cc1d349dfce1c3ce5400efc63c32"
+
+
+def test_settings_independence_sums_only_up_to_the_last_used_lambda_bin(tmp_path):
+    run_campaign(CampaignConfig(
+        default_scenario(BRUKNER_EWFS, 3_000), MODEL_LHV, seed=0,
+        model_options=SIX_STRATEGIES, out_dir=tmp_path, formats=("json",),
+    ))
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == SIX_STRATEGIES_REPORT
 
 
 # --- inconclusive handling and helpers -------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_log
-from ewfs import harness, inequality
+from ewfs import harness, inequality, models
 from ewfs.harness import (
     EXIT_OK,
     EXIT_OUTPUT,
@@ -219,12 +219,12 @@ def test_campaign_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, kind, 
         return run_campaign(CampaignConfig(spec, model, seed=4, model_options=options, out_dir=out))
 
     # 3,000 trials are one chunk at the default size, whose log is built again too
-    assert harness.CHUNK >= 3_000
+    assert models.CHUNK >= 3_000
     assert _log_bytes(campaign(tmp_path / "default").log) == whole
     files = ("report.json", "runs.csv")
     expected = {name: (tmp_path / "default" / name).read_bytes() for name in files}
     for chunk in (1, 7, 1_000, 2_999):
-        monkeypatch.setattr(harness, "CHUNK", chunk)
+        monkeypatch.setattr(models, "CHUNK", chunk)
         result = campaign(tmp_path / str(chunk))
         for name, data in expected.items():
             assert (tmp_path / str(chunk) / name).read_bytes() == data, (chunk, name)
@@ -366,10 +366,36 @@ def test_mismatched_options_are_rejected_before_any_output(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+# a bool would otherwise run as k = 1, a string or None raise a bare TypeError
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "3", None])
 def test_k_must_be_finite_and_positive(k):
     with pytest.raises(ValueError, match="k must be"):
         CampaignConfig(default_scenario(BRUKNER_EWFS, 100), MODEL_LHV, k=k)
+
+
+def test_k_and_trials_of_any_number_type_write_one_report(tmp_path):
+    # k is stored as a float, so k = 3 writes "k": 3.0 as --compare does
+    def report(name, config):
+        assert type(config.k) is float
+        config.out_dir, config.formats = tmp_path / name, ("json",)
+        run_campaign(config)
+        return (tmp_path / name / "report.json").read_bytes()
+
+    def config(trials, k):
+        return CampaignConfig(default_scenario(BRUKNER_EWFS, trials), MODEL_LHV, seed=2, k=k)
+
+    expected = report("float", config(2_000, 3.0))
+    assert expected.count(b'"k": 3.0') == 2  # the config echo and the CHSH section
+    cases = {
+        "int": config(2_000, 3),
+        "numpy": config(np.int64(2_000), np.int64(3)),
+        "numpy-float": config(2_000, np.float64(3.0)),
+        "compare": config_from_dict(
+            {"scenario": "ewfs", "model": "lhv", "trials": 2_000, "seed": 2, "k": 3}
+        ),
+    }
+    for name, case in cases.items():
+        assert report(name, case) == expected, name
 
 
 def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):

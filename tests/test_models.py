@@ -250,18 +250,35 @@ def test_single_trial_reproduces_batch_records(model, kind):
             np.testing.assert_array_equal(single, full[i : i + 1])
 
 
+def _typed_bytes(log, rows=slice(None)) -> list:
+    return [(column.dtype.str, column[rows].tobytes()) for column in _columns(log)]
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
-def test_uneven_blocks_join_to_the_whole_log(model):
+def test_uneven_blocks_join_to_the_whole_log(model, monkeypatch):
     """1,700-trial blocks, the last one shorter, join to the log of the
-    whole 10,000-trial range, column by column."""
-    spec = default_scenario(BRUKNER_EWFS, 10_000)
-    whole = run_trials(spec, model, seed=1)
-    blocks = [
-        run_trials(spec, model, seed=1, first_trial=lo, n_trials=min(1_700, 10_000 - lo))
-        for lo in range(0, 10_000, 1_700)
-    ]
-    for column, parts in zip(_columns(whole), zip(*map(_columns, blocks))):
-        np.testing.assert_array_equal(column, np.concatenate(parts))
+    whole 10,000-trial range, column by column.  With ``CHUNK`` cut to 1,000
+    or 1,700, ``run_trials`` samples each range longer than ``CHUNK`` in
+    pieces, which give the bytes and dtypes of one pass."""
+    wholes = {}
+    for kind in MODELS[model].kinds:
+        spec = default_scenario(kind, 10_000)
+        whole = wholes[spec] = run_trials(spec, model, seed=1)
+        blocks = [
+            run_trials(spec, model, seed=1, first_trial=lo, n_trials=min(1_700, 10_000 - lo))
+            for lo in range(0, 10_000, 1_700)
+        ]
+        for column, parts in zip(_columns(whole), zip(*map(_columns, blocks))):
+            np.testing.assert_array_equal(column, np.concatenate(parts))
+    for chunk in (1_000, 1_700):
+        monkeypatch.setattr(models, "CHUNK", chunk)
+        ranges = [(0, 10_000), (0, chunk), (0, chunk + 1), (1, chunk + 1), (2_345, 7_655)]
+        for spec, whole in wholes.items():
+            for first, n in ranges:
+                log = run_trials(spec, model, seed=1, first_trial=first, n_trials=n)
+                assert log.first_trial == first and len(log) == n
+                assert _typed_bytes(log) == _typed_bytes(whole, slice(first, first + n))
+                assert not log.x.flags.writeable and not log.y.flags.writeable
 
 
 # --- reference samplers ----------------------------------------------------

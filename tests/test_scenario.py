@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from ewfs import harness, scenario
+from ewfs import harness, models, scenario
 from ewfs.models import MODEL_NAMES, run_trials
 from ewfs.scenario import (
     BRUKNER_EWFS,
@@ -69,6 +69,12 @@ def test_settings_must_be_a_list_or_a_tuple(bad):
         with pytest.raises(ValueError, match=f"^{name} settings must be a list or a tuple"):
             ScenarioSpec(BRUKNER_EWFS, *settings, 3000)
     assert ScenarioSpec(BRUKNER_EWFS, ["Z", "X"], ("Z", "X"), 3000).alice_settings == ("Z", "X")
+
+
+@pytest.mark.parametrize("trials", [True, 2_000.0, "2000", None])
+def test_trials_must_be_an_integer_not_a_bool(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        ScenarioSpec(BRUKNER_EWFS, ("Z", "X"), ("Z", "X"), trials)
 
 
 def test_bell_angles_take_numpy_numbers():
@@ -204,7 +210,7 @@ def test_bulk_models_at_one_seed_share_one_draw_across_chunks(monkeypatch):
     # block, and its chunks and the other three campaigns find it in the memo
     draws = _count_settings_draws(monkeypatch)
     spec = default_scenario(BRUKNER_EWFS, 150_000)
-    assert spec.trials > 2 * harness.CHUNK
+    assert spec.trials > 2 * models.CHUNK
     for model in MODEL_NAMES:
         harness.run_campaign(harness.CampaignConfig(spec, model, seed=3))
     assert draws == [SETTINGS_STREAM]
