@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ from .scenario import (
     ScenarioSpec,
     default_scenario,
     finite_real,
+    integer,
+    require,
 )
 
 EXIT_OK = 0
@@ -92,10 +94,15 @@ class CampaignConfig:
 
     def __post_init__(self):
         model_entry(self.scenario.kind, self.model, self.model_options)
+        require(integer(self.seed), "seed", "an integer", self.seed)
         # From k ~ 38.4 the per-cell level in _familywise_k underflows to 0.
-        if not (finite_real(self.k) and 0 < self.k <= 38):
-            raise ValueError(f"k must be a number in (0, 38], got {self.k!r}")
+        require(finite_real(self.k) and 0 < self.k <= 38, "k", "a number in (0, 38]", self.k)
         self.k = float(self.k)  # k = 3 and k = 3.0 write the same report
+        require(isinstance(self.check_assumptions, bool), "check_assumptions", "a bool",
+                self.check_assumptions)
+        require(isinstance(self.label, str), "label", "a string", self.label)
+        ok = isinstance(self.formats, tuple) and set(self.formats) <= {"json", "csv"}
+        require(ok, "formats", 'a tuple drawn from "json" and "csv"', self.formats)
 
     def echo(self) -> dict:
         return {
@@ -319,44 +326,28 @@ _CONFIG_KEYS = frozenset({
 })
 
 
-def _typed(data: dict, key: str, default, *types: type):
-    """``data[key]`` (or ``default``) if it has one of ``types``; a bool,
-    which Python counts as an int, passes only where bool is named."""
-    value = data.get(key, default)
-    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"{key} must be {names}; cannot convert {value!r}")
-    return value
-
-
 def config_from_dict(data: dict) -> CampaignConfig:
     """Build a campaign from a plain config mapping: a --compare entry, or
-    the single-campaign flags turned into the same keys."""
+    the single-campaign flags turned into the same keys.  Each value goes
+    as it is to the constructor that owns its field and checks it."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    kind, model = data["scenario"], data["model"]
-    trials = _typed(data, "trials", 10_000, int)
+    kind, model, trials = data.get("scenario"), data.get("model"), data.get("trials", 10_000)
     if "alice_settings" in data or "bob_settings" in data:
-        keys = ("alice_settings", "bob_settings")  # both required: data[key] raises KeyError
-        alice, bob = (_typed(data, key, data[key], list, tuple) for key in keys)
+        # both required: a missing one is None, which ScenarioSpec names
+        alice, bob = data.get("alice_settings"), data.get("bob_settings")
         scenario = ScenarioSpec(kind, alice, bob, trials)
     else:
         scenario = default_scenario(kind, trials)
     options_class = model_entry(kind, model)[0].options
-    raw_options = _typed(data, "model_options", None, dict, type(None))
-    if raw_options and options_class is None:
-        raise ValueError(f"model {model!r} takes no options")
-    options = options_class(**raw_options) if raw_options else None
-    return CampaignConfig(
-        scenario=scenario,
-        model=model,
-        seed=_typed(data, "seed", 0, int),
-        k=_typed(data, "k", 3.0, int, float),
-        check_assumptions=_typed(data, "check_assumptions", True, bool),
-        model_options=options,
-        label=_typed(data, "label", "", str),
-    )
+    options = data.get("model_options")
+    require(isinstance(options, (dict, type(None))), "model_options", "an object or null", options)
+    # a model without options gets the mapping itself, which CampaignConfig rejects
+    if options and options_class:
+        options = options_class(**options)
+    fields = {key: data[key] for key in ("seed", "k", "check_assumptions", "label") if key in data}
+    return CampaignConfig(scenario, model, model_options=options or None, **fields)
 
 
 # --format value -> the files a campaign writes under --out
@@ -408,10 +399,8 @@ def _single_config(args) -> CampaignConfig:
             data["model_options"] = {"alice_angles": alice, "bob_angles": bob}
         else:
             raise ValueError("--settings applies to bell scenarios or the toy-theta model")
-    config = config_from_dict(data)
-    config.out_dir = args.out
-    config.formats = _FORMATS[args.format or "both"]
-    return config
+    formats = _FORMATS[args.format or "both"]
+    return replace(config_from_dict(data), out_dir=args.out, formats=formats)
 
 
 def _compare_configs(args) -> list[CampaignConfig]:
@@ -430,16 +419,15 @@ def _compare_configs(args) -> list[CampaignConfig]:
         raise ValueError("--compare file must hold a JSON list of campaign objects")
     configs = [config_from_dict(d) for d in data]
     if args.out:
-        names = set()
-        for campaign, config in zip(data, configs):
+        names, formats = set(), _FORMATS[args.format or "both"]
+        for i, (campaign, config) in enumerate(zip(data, configs)):
             name = config.label if "label" in campaign else config.model
             if name in ("", ".", "..") or "/" in name or "\\" in name:
                 raise ValueError(f"label {name!r} is not a plain directory name")
             if name in names:
                 raise ValueError(f"two campaigns would write to directory {name!r}")
             names.add(name)
-            config.out_dir = args.out / name
-            config.formats = _FORMATS[args.format or "both"]
+            configs[i] = replace(config, out_dir=args.out / name, formats=formats)
     return configs
 
 
@@ -459,8 +447,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except KeyError as exc:
-        parser.error(f"missing config key {exc}")
     except MemoryError as exc:  # a trial count too large to allocate
         parser.error(f"not enough memory for the campaign: {exc}")
     except (ValueError, TypeError, OverflowError) as exc:

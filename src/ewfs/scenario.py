@@ -56,6 +56,17 @@ def finite_real(value) -> bool:
     )
 
 
+def integer(value) -> bool:
+    """A Python or numpy int, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require(ok: bool, key: str, what: str, value) -> None:
+    """The one rule message of every config field: raise unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{key} must be {what}; cannot convert {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Which experiment to run and each party's two measurement settings."""
@@ -68,18 +79,15 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in (STANDARD_BELL, BRUKNER_EWFS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        require(integer(self.trials), "trials", "an integer", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        for name in ("alice", "bob"):
-            settings = getattr(self, f"{name}_settings")
-            if not isinstance(settings, (list, tuple)):
-                raise ValueError(f"{name} settings must be a list or a tuple, not {settings!r}")
+        for key in ("alice_settings", "bob_settings"):
+            settings = getattr(self, key)
+            ok = isinstance(settings, (list, tuple)) and len(settings) == 2
+            require(ok, key, "a list or a tuple of two settings", settings)
             settings = tuple(settings)
-            object.__setattr__(self, f"{name}_settings", settings)
-            if len(settings) != 2:
-                raise ValueError(f"{name} needs exactly two settings")
+            object.__setattr__(self, key, settings)
             if self.kind == BRUKNER_EWFS:
                 if any(s not in ("Z", "X") for s in settings):
                     raise ValueError("ewfs settings must be 'Z' or 'X'")

@@ -381,14 +381,14 @@ def test_k_and_trials_of_any_number_type_write_one_report(tmp_path):
         run_campaign(config)
         return (tmp_path / name / "report.json").read_bytes()
 
-    def config(trials, k):
-        return CampaignConfig(default_scenario(BRUKNER_EWFS, trials), MODEL_LHV, seed=2, k=k)
+    def config(trials, k, seed=2):
+        return CampaignConfig(default_scenario(BRUKNER_EWFS, trials), MODEL_LHV, seed=seed, k=k)
 
     expected = report("float", config(2_000, 3.0))
     assert expected.count(b'"k": 3.0') == 2  # the config echo and the CHSH section
     cases = {
         "int": config(2_000, 3),
-        "numpy": config(np.int64(2_000), np.int64(3)),
+        "numpy": config(np.int64(2_000), np.int64(3), np.int64(2)),
         "numpy-float": config(2_000, np.float64(3.0)),
         "compare": config_from_dict(
             {"scenario": "ewfs", "model": "lhv", "trials": 2_000, "seed": 2, "k": 3}
@@ -396,6 +396,20 @@ def test_k_and_trials_of_any_number_type_write_one_report(tmp_path):
     }
     for name, case in cases.items():
         assert report(name, case) == expected, name
+
+
+@pytest.mark.parametrize("seed", [-3, 2**70])
+def test_negative_and_huge_seeds_build_on_both_paths(seed):
+    library = CampaignConfig(default_scenario(BRUKNER_EWFS, 10_000), MODEL_LHV, seed=seed)
+    assert config_from_dict({"scenario": "ewfs", "model": "lhv", "seed": seed}) == library
+
+
+@pytest.mark.parametrize("formats", ["json", ("xml",), ["json"], ("json", 1)])
+def test_formats_must_be_a_tuple_of_json_and_csv(formats):
+    # a string used to be matched by substring: "json" in "json" wrote report.json
+    with pytest.raises(ValueError, match="^formats must be .*; cannot convert"):
+        CampaignConfig(default_scenario(BRUKNER_EWFS, 100), MODEL_LHV, formats=formats)
+    CampaignConfig(default_scenario(BRUKNER_EWFS, 100), MODEL_LHV, formats=())
 
 
 def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):
@@ -594,6 +608,16 @@ def test_cli_compare_bad_file_exits_2(tmp_path, capsys):
         assert _usage_error(["--compare", str(path)], capsys).count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["scenario", "model"])
+def test_cli_compare_missing_scenario_or_model_exits_2(tmp_path, capsys, key):
+    campaign = {"scenario": "ewfs", "model": "lhv"}
+    del campaign[key]
+    path = tmp_path / "campaigns.json"
+    path.write_text(json.dumps([campaign, {"scenario": "ewfs", "model": "lhv"}]))
+    err = _usage_error(["--compare", str(path)], capsys)
+    assert err.count("\n") == 1 and f"unknown {key}" in err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cli_compare_non_finite_inputs_exit_2(tmp_path, capsys, bad):
     # Python's json module reads and writes NaN and +/-Infinity literals.
@@ -640,6 +664,9 @@ def test_cli_compare_non_finite_integers_exit_2(tmp_path, capsys, key, bad):
         ("model_options", ""),
         ("model_options", [1]),
         ("model_options", "ab"),
+        ("seed", 2.5),
+        ("seed", "7"),
+        ("check_assumptions", "no"),
     ],
 )
 def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
@@ -651,6 +678,21 @@ def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
     ))
     err = _usage_error(["--compare", str(path)], capsys)
     assert err.count("\n") == 1 and key in err
+    if key == "model_options":  # a JSON object here, an options instance in the library
+        return
+    if key == "trials":
+        message = _library_error(default_scenario, BRUKNER_EWFS, bad)
+    else:
+        scenario = default_scenario(BRUKNER_EWFS, 10_000)
+        message = _library_error(CampaignConfig, scenario, MODEL_LHV, **{key: bad})
+    assert err == f"ewfs: error: {message}\n"
+
+
+def _library_error(build, *args, **kwargs) -> str:
+    """The message of the ValueError that ``build(*args, **kwargs)`` raises."""
+    with pytest.raises(ValueError) as exc:
+        build(*args, **kwargs)
+    return str(exc.value)
 
 
 @pytest.mark.parametrize("key", ["alice_settings", "bob_settings"])
@@ -664,6 +706,9 @@ def test_cli_compare_settings_that_are_not_lists_exit_2(tmp_path, capsys, key, b
     path.write_text(json.dumps([campaign, {"scenario": "ewfs", "model": "lhv"}]))
     err = _usage_error(["--compare", str(path)], capsys)
     assert err.count("\n") == 1 and key in err
+    settings = {k: campaign[k] for k in ("alice_settings", "bob_settings")}
+    message = _library_error(ScenarioSpec, BRUKNER_EWFS, trials=10_000, **settings)
+    assert err == f"ewfs: error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -925,18 +970,31 @@ _model_options = st.dictionaries(
     st.one_of(_json_angles, st.just([1 / 16] * 16), st.floats(), st.text(max_size=3)),
     max_size=3,
 )
+# any JSON type, for keys whose constructor checks the type
+_any_json = st.one_of(
+    _json_values,
+    st.booleans(),
+    st.just(2**70),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
+)
 _wild_campaigns = st.fixed_dictionaries(
-    {
+    {},
+    optional={
+        # a campaign without scenario or model exits 2
         "scenario": st.sampled_from(["bell", "ewfs", "nope"]),
         "model": st.sampled_from([*MODEL_NAMES, "nope"]),
-    },
-    optional={
-        "trials": _json_values,
-        "seed": _json_values,
+        "trials": _any_json,
+        "seed": _any_json,
         "k": st.one_of(st.floats(), _json_values),
         "label": st.one_of(
-            st.sampled_from(["", ".", "..", "a/b", "a\\b", "../up", "lhv"]), st.text(max_size=5)
+            st.sampled_from(["", ".", "..", "a/b", "a\\b", "../up", "lhv"]),
+            st.text(max_size=5),
+            _any_json,
         ),
+        "check_assumptions": _any_json,
         "alice_settings": _json_angles,
         "bob_settings": _json_angles,
         "model_options": st.one_of(st.none(), _model_options),

@@ -66,7 +66,7 @@ def test_bell_angles_must_be_finite(bad):
 ])
 def test_settings_must_be_a_list_or_a_tuple(bad):
     for name, settings in (("alice", (bad, ("Z", "X"))), ("bob", (("Z", "X"), bad))):
-        with pytest.raises(ValueError, match=f"^{name} settings must be a list or a tuple"):
+        with pytest.raises(ValueError, match=f"^{name}_settings must be a list or a tuple"):
             ScenarioSpec(BRUKNER_EWFS, *settings, 3000)
     assert ScenarioSpec(BRUKNER_EWFS, ["Z", "X"], ("Z", "X"), 3000).alice_settings == ("Z", "X")
 
