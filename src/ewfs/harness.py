@@ -57,16 +57,18 @@ EXIT_USAGE = 2
 EXIT_OUTPUT = 3
 
 CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
-# Rows formatted per write of runs.csv.  A block's fields exist as Python
-# objects and its rows as one string until the write, so the block bounds
-# the writer's transient memory: about 2 MB at 4,096 toy-theta rows.
+# Rows formatted per write of runs.csv.  A block is one (rows, width) uint8
+# array of NUL-padded ASCII fields until the write, so it bounds the
+# writer's transient memory: with its NUL mask and its written bytes, about
+# 1.8 MB at 4,096 toy-theta rows.
 CSV_BLOCK = 4_096
-# "X,Y,A,B,C,D," per inequality.cell_key, undefined C/D blank: no field needs quotes.
-_CELL_TEXT = np.array([
-    f"{x},{y},{a},{b},{c},{d},"
+# "X,Y,A,B,C,D," per inequality.cell_key, undefined C/D blank: no field
+# needs quotes.
+_CELL_TEXT = [
+    f"{x},{y},{a},{b},{c},{d},".encode()
     for x in (1, 2) for y in (1, 2) for a in (1, -1) for b in (1, -1)
     for c in (1, -1, "") for d in (1, -1, "")
-], dtype=object)
+]
 
 __all__ = [
     "CampaignConfig",
@@ -138,45 +140,267 @@ class CampaignResult:
         return run_trials(config.scenario, config.model, config.seed, options=config.model_options)
 
 
-def _lambda_text(name: str, values: np.ndarray) -> list[str]:
-    """``name=value`` for each row: floats as %.17g, integers as %d.  Each
-    distinct value is formatted once; floats are told apart by their bits,
-    so -0.0 stays "-0"."""
-    # numpy argsorts int64 several times faster than int16
-    bits = values.view(f"i{values.itemsize}").astype(np.int64)
-    bits, rows = np.unique(bits, return_inverse=True)
-    distinct = bits.astype(f"i{values.itemsize}").view(values.dtype)
-    fmt = name.replace("%", "%%") + ("=%.17g" if values.dtype.kind == "f" else "=%d")
-    if distinct.size == values.size:  # all distinct: format in row order
-        return list(map(fmt.__mod__, values.tolist()))
-    text = list(map(fmt.__mod__, distinct.tolist()))
-    return np.array(text, dtype=object)[rows].tolist()
+# ---------------------------------------------------------------------------
+# runs.csv text.  A block of rows is one (rows, width) uint8 array: each
+# field is ASCII padded with NULs, which no field holds, and the block is
+# written without its NULs.  Digits come four at a time from a table of the
+# 10,000 4-digit groups.
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each 4-digit group 0000..9999 as a little-endian uint32 of its four
+    ASCII digits; and, for a 17-digit string whose digits 4k - 3 .. 4k are
+    group k = 1..4, the digits up to the group's last nonzero one (0 for
+    0000), one row per k."""
+    group = np.arange(10_000, dtype=np.uint32)
+    text = np.full(10_000, 0x30303030, np.uint32)  # "0000"
+    last = np.zeros(10_000, np.uint8)  # digits up to the last nonzero one
+    for shift, power in ((0, 1000), (8, 100), (16, 10), (24, 1)):
+        text += (group // power % 10) << shift
+        last += group % (10 * power) > 0
+    kept = (np.arange(1, 14, 4, dtype=np.uint8)[:, None] + last) * (group > 0)
+    return text.astype("<u4"), kept
+
+
+def _words(table: list[bytes]) -> np.ndarray:
+    """(3, len(table)) uint64: each entry, up to 24 bytes, as three
+    little-endian words."""
+    return np.array(table, dtype="S24").view("<u8").reshape(-1, 3).T.astype(np.uint64)
+
+
+def _halves(x):
+    """Veltkamp's split of float64 ``x`` into 26-bit halves, hi + lo = x."""
+    c = x * 134_217_729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_GROUP_TEXT, _GROUP_KEPT = _group_tables()
+_GROUP_TEXT64 = _GROUP_TEXT.astype(np.uint64)
+_POW10_U64 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+# row c keeps the last c of 20 digits, and row c > 0 of _MINUS puts the
+# sign before them: an integer's text, right-aligned in 20 bytes
+_LAST = np.where(np.arange(20) >= 20 - np.arange(21)[:, None], 255, 0).astype(np.uint8)
+_MINUS = np.where(np.arange(20) == 19 - np.arange(21)[:, None], ord("-"), 0).astype(np.uint8)
+_MINUS[0] = 0
+# 10^(16 - p), exact in float64, and its halves, for a decimal exponent p in [-4, 16]
+_POW10 = np.array([float(10**s) for s in range(21)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
+# column k keeps the first k bytes; column j <= 16 of _POINT is '.' at byte j
+_KEEP = _words([b"\xff" * k for k in range(18)])
+_POINT = _words([b"\0" * j + b"." for j in range(17)] + [b""])
+# column 5 s + 4 + min(p, 0) for sign bit s and decimal exponent p: the
+# sign, then "0." and the zeros before the first digit when p < 0
+_PREFIX_TEXT = [sign + (b"0." + b"0" * (3 - i) if i < 4 else b"") for sign in (b"", b"-")
+                for i in range(5)]
+_PREFIX = _words(_PREFIX_TEXT)[0]
+_PREFIX_BITS = np.array([8 * len(text) for text in _PREFIX_TEXT], dtype=np.uint64)
+
+
+def _low_groups(rest: np.ndarray) -> list[np.ndarray]:
+    """The four 4-digit groups of int64 ``rest`` < 10^16, most significant
+    first, as int32."""
+    high = rest // 10**8
+    groups = []
+    for part in (high, rest - high * 10**8):
+        part = part.astype(np.int32)
+        top = part // 10_000
+        groups += [top, part - top * 10_000]
+    return groups
+
+
+def _shift_up(words: np.ndarray, bits) -> np.ndarray:
+    """(3, n) little-endian words moved ``bits`` < 64 bits toward their
+    last byte, per column."""
+    out = words << bits
+    out[1:] |= words[:-1] >> (64 - bits)  # numpy shifts by 64 to 0
+    return out
+
+
+def _int_text(columns: list[np.ndarray]) -> np.ndarray:
+    """``%d`` of integer or bool columns, one after another, as (rows, w)
+    ASCII right-aligned after NULs, w the fewest whole 4-digit groups that
+    hold every row's text."""
+    negative = np.concatenate([column < 0 for column in columns])
+    # two's complement, negated mod 2^64
+    magnitude = np.concatenate([column.astype(np.uint64) for column in columns])
+    np.negative(magnitude, out=magnitude, where=negative)
+    top = magnitude // np.uint64(10**16)
+    groups = np.empty((magnitude.size, 5), np.intp)
+    groups[:, 0] = top
+    for k, group in enumerate(_low_groups((magnitude - top * np.uint64(10**16)).astype(np.int64))):
+        groups[:, k + 1] = group
+    digits = 1 + np.searchsorted(_POW10_U64, magnitude, side="right")
+    signed = negative.any()
+    width = -(-(digits.max(initial=1) + signed) // 4) * 4
+    text = _GROUP_TEXT[groups[:, 5 - width // 4:]].view(np.uint8)
+    text &= np.take(_LAST[:, 20 - width:], digits, axis=0)
+    if signed:
+        text |= np.take(_MINUS[:, 20 - width:], digits * negative, axis=0)
+    return text
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D of float64 ``v`` as an int64 in [10^16,
+    10^17) (0 for ±0), its decimal exponent p, and whether D and p are
+    exact: false where Python's ``'%.17g' %`` must write ``v``.
+
+    With p = floor(log10 |v|) in [-4, 16], the product |v| 10^(16 - p) (an
+    exact power) is hi + lo by Dekker's two-product, and hi >= 10^16 > 2^53
+    is an even integer, so D = hi + rint(lo) rounds the exact product half
+    to even, as Python does.  Not exact: |v| < 1e-4 or p > 16, inf, nan, a
+    product below 10^16 (log10 rounded up to p) and a D of 10^17 (log10
+    rounded down, or a carry into p + 1)."""
+    magnitude = np.abs(v)
+    zero = magnitude == 0
+    # rows outside the kernel (0, inf, nan) compute values that are not used
+    with np.errstate(all="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+        exact = (exponent >= -4) & (exponent <= 16)
+        p = exponent.astype(np.intp)
+        p[~exact] = 0
+        scale = 16 - p
+        hi = magnitude * _POW10[scale]
+        m_hi, m_lo = _halves(magnitude)
+        b_hi, b_lo = _POW10_HI[scale], _POW10_LO[scale]
+        lo = ((m_hi * b_hi - hi) + m_hi * b_lo + m_lo * b_hi) + m_lo * b_lo
+        d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the exact product is at least 10^16 (hi - 10^16 is exact, and rounding
+    # keeps the sign of its sum with lo), and D has 17 digits
+    exact &= ((hi - 1e16) + lo >= 0) & (d < 10**17)
+    d[zero] = 0  # "0": one digit, the units digit
+    return d, p, exact | zero
+
+
+def _digit_words(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of int64 ``d`` < 10^17 as bytes 0..16 of (3, n)
+    little-endian words, and the count of digits up to the last nonzero
+    one (1 for 0)."""
+    lead = d // 10**16
+    groups = _low_groups(d - lead * 10**16)
+    u1, u2, u3, u4 = (_GROUP_TEXT64.take(group) for group in groups)
+    words = np.empty((3, d.size), np.uint64)
+    words[0] = (lead.astype(np.uint64) + ord("0")) | u1 << 8 | u2 << 40
+    words[1] = u2 >> 24 | u3 << 8 | u4 << 40
+    words[2] = u4 >> 24
+    last = np.ones(d.size, np.intp)
+    for table, group in zip(_GROUP_KEPT, groups):
+        np.maximum(last, table.take(group), out=last)
+    return words, last
+
+
+def _float_text(columns: list[np.ndarray]) -> np.ndarray:
+    """``%.17g`` of float columns, one after another, as (rows, 24) ASCII
+    left-aligned before NULs: the bytes of Python's ``'%.17g' %``.  A value
+    that ``_decimal`` gives exactly is written from its digits D and
+    exponent p: trailing zeros after the point go, then the point goes in
+    after digit p, and the sign and "0.000" before the digits (±0 is "0" or
+    "-0").  Every other value is Python's ``'%.17g' %``."""
+    v = np.concatenate(columns).astype(np.float64, copy=False)
+    d, p, kernel = _decimal(v)
+    words, last = _digit_words(d)
+    # every digit up to the units digit, then up to the last nonzero one
+    kept = np.maximum(last, np.maximum(p, 0) + 1)
+    words &= _KEEP.take(kept, axis=1)
+    split = p + 1
+    split[(p < 0) | (kept == split)] = 17  # no point
+    low = words & _KEEP.take(split, axis=1)
+    words = low | _shift_up(words ^ low, np.uint64(8)) | _POINT.take(split, axis=1)
+    prefix = 5 * np.signbit(v) + 4 + np.minimum(p, 0)
+    words = _shift_up(words, _PREFIX_BITS.take(prefix))
+    words[0] |= _PREFIX.take(prefix)
+    text = np.empty((v.size, 3), "<u8")
+    text.T[...] = words
+    text = text.view(np.uint8)
+    rest = np.flatnonzero(~kernel)
+    if rest.size:
+        fallback = ["%.17g" % value for value in v[rest].tolist()]
+        text[rest] = np.array(fallback, dtype="S24").view(np.uint8).reshape(-1, 24)
+    return text
+
+
+def _texts(columns: list[np.ndarray], text) -> list[np.ndarray]:
+    """``text`` of each column, from one call of ``text`` on a list of
+    columns.  A column of repeated values has each distinct value, told
+    apart by its bits (so -0.0 stays "-0"), formatted once."""
+    values, rows = [], []
+    for column in columns:
+        bits = column.view(f"i{column.itemsize}")
+        if (bits[1:] > bits[:-1]).all():  # increasing, as the trial numbers
+            values.append(column)
+            rows.append(None)
+            continue
+        distinct = np.sort(bits)
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        repeats = distinct.size < bits.size
+        values.append(distinct.view(column.dtype) if repeats else column)
+        rows.append(np.searchsorted(distinct, bits) if repeats else None)
+    texts, start = text(values), 0
+    for i, (column, row) in enumerate(zip(values, rows)):
+        values[i] = texts[start:start + column.size]
+        if row is not None:
+            values[i] = np.take(values[i], row, axis=0)
+        start += column.size
+    return values
 
 
 def _open_csv(path: Path):
-    """``path`` opened for writing, with the header row written."""
-    handle = path.open("w", newline="")
-    handle.write(",".join(CSV_HEADER) + "\r\n")
+    """``path`` opened for writing in binary mode, with the header row written."""
+    handle = path.open("wb")
+    handle.write(",".join(CSV_HEADER).encode() + b"\r\n")
     return handle
+
+
+def _void(field: np.ndarray) -> np.ndarray:
+    """A field as one item per row, of a void type its width: an (n, w)
+    uint8 array, or an (n,) or (1,) bytes array."""
+    if field.ndim == 2:
+        return field.view(f"V{field.shape[1]}")[:, 0]
+    return field.view(f"V{field.itemsize}")
+
+
+@functools.lru_cache(maxsize=16)
+def _separators(names: tuple[str, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The text between two fields of a row with lambda columns ``names``:
+    "," + cell + the first "name=" (or the row's end), one per cell key,
+    then ";name=" or the row's end after each lambda value."""
+    tags = [f"{name}=".encode() for name in names]
+    cells = np.array([b"," + cell + (tags + [b"\r\n"])[0] for cell in _CELL_TEXT])
+    return cells, [np.array([end]) for end in [b";" + tag for tag in tags[1:]] + [b"\r\n"]]
+
+
+def _block(log: RunLog, lo: int, hi: int, key: np.ndarray, cells, ends) -> np.ndarray:
+    """Rows ``lo:hi`` of ``log`` as one (rows, width) uint8 array, their
+    fields side by side.  A block's integer columns are formatted in one
+    call, and so are its float columns."""
+    columns = [log.lam[name][lo:hi] for name in sorted(log.lam)]
+    ints = [np.arange(log.first_trial + lo, log.first_trial + hi, dtype=np.int64)]
+    ints += [column for column in columns if column.dtype.kind != "f"]
+    floats = [column for column in columns if column.dtype.kind == "f"]
+    texts = {False: iter(_texts(ints, _int_text))}
+    texts[True] = iter(_texts(floats, _float_text) if floats else ())
+    fields = [next(texts[False]), cells[key[lo:hi]]]
+    for column, end in zip(columns, ends):
+        fields += [next(texts[column.dtype.kind == "f"]), end]
+    fields = [_void(field) for field in fields]
+    block = np.empty((hi - lo, sum(field.itemsize for field in fields)), np.uint8)
+    start = 0
+    for field in fields:  # one pass over the rows per field
+        block[:, start:start + field.itemsize].view(field.dtype)[:, 0] = field
+        start += field.itemsize
+    return block
 
 
 def _write_rows(handle, log: RunLog) -> None:
     """One "trial,X,Y,A,B,C,D,lambda_tag" row per trial of ``log``,
-    CRLF-terminated.  Each block of rows is one %-format of the row
-    template: the trial, the cell text, then the lambda columns in key order
-    joined by ';'."""
+    CRLF-terminated: the trial, the cell text, then ``name=value`` for each
+    lambda column in key order, joined by ';', integers as %d and floats as
+    %.17g.  Each block of rows is written without its NULs, in one call."""
     key = inequality.cell_key(log)
-    names = sorted(log.lam)
-    row = "%d,%s" + ";".join(["%s"] * len(names)) + "\r\n"
-    width = 2 + len(names)
+    cells, ends = _separators(tuple(sorted(log.lam)))
     for lo in range(0, len(log), CSV_BLOCK):
-        hi = min(lo + CSV_BLOCK, len(log))
-        fields = [None] * (width * (hi - lo))
-        fields[0::width] = range(log.first_trial + lo, log.first_trial + hi)
-        fields[1::width] = _CELL_TEXT[key[lo:hi]].tolist()
-        for column, name in enumerate(names, start=2):
-            fields[column::width] = _lambda_text(name, log.lam[name][lo:hi])
-        handle.write(row * (hi - lo) % tuple(fields))
+        block = _block(log, lo, min(lo + CSV_BLOCK, len(log)), key, cells, ends)
+        handle.write(block[block != 0])  # a buffer: no copy into bytes
 
 
 def _check_setting_pairs(xs: np.ndarray, ys: np.ndarray) -> None:

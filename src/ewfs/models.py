@@ -36,6 +36,7 @@ from .scenario import (
     STANDARD_BELL,
     ScenarioSpec,
     finite_real,
+    require,
     sample_settings_block,
 )
 from .streams import uniform_block
@@ -383,6 +384,8 @@ MODEL_NAMES = tuple(MODELS)
 def model_entry(kind: str, model: str, options=None) -> tuple[Model, object]:
     """``MODELS[model]`` and its options, the defaults for None.  Checks, in
     order: the model is known, it runs ``kind``, the options class fits."""
+    # a missing model (None) is an unknown one
+    require(isinstance(model, (str, type(None))), "model", "a string", model)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     entry = MODELS[model]

@@ -36,11 +36,15 @@ SETTINGS_STREAM = "settings"
 DEFAULT_EWFS_SETTINGS = ("Z", "X")
 DEFAULT_BELL_ALICE = (0.0, math.pi / 2)
 DEFAULT_BELL_BOB = (math.pi / 4, 3 * math.pi / 4)
+# The most trials a float64 settings draw of one double a trial can hold:
+# numpy's largest array is np.intp's maximum in bytes.
+MAX_TRIALS = np.iinfo(np.intp).max // 8
 
 __all__ = [
     "STANDARD_BELL",
     "BRUKNER_EWFS",
     "SETTINGS_STREAM",
+    "MAX_TRIALS",
     "ScenarioSpec",
     "default_scenario",
     "sample_settings_block",
@@ -82,6 +86,11 @@ class ScenarioSpec:
         require(integer(self.trials), "trials", "an integer", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(
+                f"trials must be at most {MAX_TRIALS}, the largest float64 settings draw; "
+                f"got {self.trials}"
+            )
         for key in ("alice_settings", "bob_settings"):
             settings = getattr(self, key)
             ok = isinstance(settings, (list, tuple)) and len(settings) == 2

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -39,7 +40,13 @@ from ewfs.models import (
     ToyOptions,
     run_trials,
 )
-from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, ScenarioSpec, default_scenario
+from ewfs.scenario import (
+    BRUKNER_EWFS,
+    MAX_TRIALS,
+    STANDARD_BELL,
+    ScenarioSpec,
+    default_scenario,
+)
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -356,6 +363,101 @@ def test_lambda_tags_match_per_row_formatting(tmp_path, monkeypatch, model, opti
         assert "theta1_post=-0" in posts
 
 
+def _float_text_edge_cases() -> np.ndarray:
+    """Values where an exact %.17g is easy to get wrong: signed zeros,
+    subnormals, both ends of the fixed-point range, every power of ten in
+    float64's exact range and near it with its three neighbours on each
+    side, values that round up to a power of ten, ties at the 17th digit,
+    and the non-finite values, which Python formats."""
+    powers = np.array([10.0**k for k in range(-12, 24)] + [float(10**k) for k in range(23)])
+    near = [powers]
+    for _ in range(3):
+        near += [np.nextafter(near[-1], 0), np.nextafter(near[-1], np.inf)]
+    ups = [float(f"9.99999999999999999{digit}e{k}") for k in range(-6, 19) for digit in range(10)]
+    start = 1_234_567_890_123_456  # quarters are exact at this magnitude
+    ties = np.arange(start, start + 200) + 0.25 * np.arange(1, 4)[:, None]
+    single = [
+        0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 9.99999999999999999e-5,
+        1e-4, 0.00099999999999999999, 99999999999999984.0, 1e17, 0.5, 2.5, math.pi,
+        math.inf, math.nan,
+    ]
+    values = np.concatenate([*near, ups, np.nextafter(ups, 0), np.nextafter(ups, np.inf),
+                             ties.ravel(), single])
+    return np.concatenate([values, -values])
+
+
+def _percent_17g_bytes(values) -> bytes:
+    return "".join(map("%.17g\n".__mod__, values.tolist())).encode()
+
+
+def _float_text_bytes(values) -> bytes:
+    """harness._float_text's rows without their NULs, one per line."""
+    text = harness._float_text([values])
+    lines = np.concatenate([text, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+    return lines[lines != 0].tobytes()
+
+
+def test_float_text_matches_percent_17g_bitwise():
+    # 10^6 seeded values: hidden angles as toy-theta draws them, and
+    # log-uniform magnitudes of both signs over 1e-8 .. 1e19, the numpy
+    # kernel's range and past both ends of it.
+    rng = np.random.default_rng(20_261_020)
+    seeded = np.concatenate([
+        rng.random(500_000) * math.pi,
+        rng.choice([-1.0, 1.0], 500_000) * 10.0 ** rng.uniform(-8, 19, 500_000),
+    ])
+    for values in (_float_text_edge_cases(), *np.array_split(seeded, 16)):
+        expected, written = _percent_17g_bytes(values), _float_text_bytes(values)
+        if written != expected:
+            pairs = zip(values.tolist(), written.split(b"\n"), expected.split(b"\n"))
+            assert [p for p in pairs if p[1] != p[2]][:5] == []
+
+
+def test_float_text_does_not_trust_log10(monkeypatch):
+    # numpy's log10 may be an ulp off on another SIMD path: a decimal
+    # exponent estimated one too low (D = 10^17) or one too high (a product
+    # below 10^16) sends the value to Python's formatting.
+    values, log10 = _float_text_edge_cases(), np.log10
+    expected = _percent_17g_bytes(values)
+    for direction in (-np.inf, np.inf):
+        monkeypatch.setattr(np, "log10", lambda x, d=direction: np.nextafter(log10(x), d))
+        assert _float_text_bytes(values) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(*[st.sampled_from(v) for v in ((1, 2), (1, 2), (1, -1), (1, -1))],
+                  *[st.sampled_from((1, -1, 0))] * 2),
+        min_size=1, max_size=40,
+    ),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    strategies=st.lists(st.integers(-(2**15), 2**15 - 1), min_size=1),
+    wide=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1),
+    first_trial=st.integers(0, 10**15),
+    block=st.sampled_from([1, 3, 7, None]),
+)
+def test_csv_rows_match_the_reference_for_any_lambda_values(
+    cells, floats, strategies, wide, first_trial, block
+):
+    # Any finite float64 column (rows outside the numpy kernel included, and
+    # repeated values, which are formatted once) and negative int16 and
+    # int64 columns, across write blocks.
+    n = len(cells)
+    lam = {
+        "theta": np.resize(np.array(floats), n),
+        "strategy": np.resize(np.array(strategies, dtype=np.int16), n),
+        "wide": np.resize(np.array(wide, dtype=np.int64), n),
+    }
+    log = synthetic_log(*zip(*cells), lam=lam)
+    log.first_trial = first_trial
+    expected = _csv_writer_reference(log)
+    handle = io.BytesIO()
+    with unittest.mock.patch.object(harness, "CSV_BLOCK", block or harness.CSV_BLOCK):
+        harness._write_rows(handle, log)
+    assert expected[expected.index(b"\r\n") + 2:] == handle.getvalue()
+
+
 def test_mismatched_options_are_rejected_before_any_output(tmp_path):
     for model, options in ((MODEL_LHV, ToyOptions()), (MODEL_COLLAPSE, object())):
         with pytest.raises(ValueError, match="takes"):
@@ -667,6 +769,8 @@ def test_cli_compare_non_finite_integers_exit_2(tmp_path, capsys, key, bad):
         ("seed", 2.5),
         ("seed", "7"),
         ("check_assumptions", "no"),
+        ("model", ["lhv"]),
+        ("model", {"name": "lhv"}),
     ],
 )
 def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
@@ -682,6 +786,8 @@ def test_cli_compare_wrong_types_exit_2(tmp_path, capsys, key, bad):
         return
     if key == "trials":
         message = _library_error(default_scenario, BRUKNER_EWFS, bad)
+    elif key == "model":  # used to exit 2 with "unhashable type: 'list'"
+        message = _library_error(CampaignConfig, default_scenario(BRUKNER_EWFS, 10_000), bad)
     else:
         scenario = default_scenario(BRUKNER_EWFS, 10_000)
         message = _library_error(CampaignConfig, scenario, MODEL_LHV, **{key: bad})
@@ -912,6 +1018,27 @@ def test_cli_trial_count_too_large_to_allocate_exits_2(capsys):
     # 10**15 trials need petabytes, more than a 47-bit address space holds,
     # so the first allocation fails before any memory is touched.
     argv = ["--scenario", "ewfs", "--model", "lhv", f"--trials={10**15}"]
+    err = _usage_error(argv, capsys)
+    assert err.count("\n") == 1 and "memory" in err
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 2**62, 2**70])
+def test_trial_count_past_the_largest_settings_draw_exits_2(tmp_path, capsys, trials):
+    # numpy used to refuse 2**62 with "array is too big" and 2**70 with
+    # "Maximum allowed dimension exceeded", neither naming trials.
+    message = _library_error(default_scenario, BRUKNER_EWFS, trials)
+    assert "trials" in message and str(MAX_TRIALS) in message
+    argv = ["--scenario", "ewfs", "--model", "lhv", f"--trials={trials}"]
+    assert _usage_error(argv, capsys) == f"ewfs: error: {message}\n"
+    path = tmp_path / "campaigns.json"
+    campaign = {"scenario": "ewfs", "model": "lhv"}
+    path.write_text(json.dumps([{**campaign, "trials": trials}, campaign]))
+    assert _usage_error(["--compare", str(path)], capsys) == f"ewfs: error: {message}\n"
+
+
+def test_cli_largest_trial_count_is_too_large_to_allocate_exits_2(capsys):
+    # MAX_TRIALS is a valid count: its settings draw fails to allocate.
+    argv = ["--scenario", "ewfs", "--model", "lhv", f"--trials={MAX_TRIALS}"]
     err = _usage_error(argv, capsys)
     assert err.count("\n") == 1 and "memory" in err
 
