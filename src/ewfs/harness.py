@@ -396,7 +396,7 @@ def _write_rows(handle, log: RunLog) -> None:
     CRLF-terminated: the trial, the cell text, then ``name=value`` for each
     lambda column in key order, joined by ';', integers as %d and floats as
     %.17g.  Each block of rows is written without its NULs, in one call."""
-    key = inequality.cell_key(log)
+    key = inequality.cell_key(log)  # unchecked: run_campaign has tabulated the log
     cells, ends = _separators(tuple(sorted(log.lam)))
     for lo in range(0, len(log), CSV_BLOCK):
         block = _block(log, lo, min(lo + CSV_BLOCK, len(log)), key, cells, ends)

@@ -136,10 +136,8 @@ class CountTable:
         return int(self.cells[:, :, :, :, :2, :2].sum()) == self.total()
 
 
-def cell_key(log: RunLog) -> np.ndarray:
-    """Index 0..143 of each trial's (x, y, a, b, c, d) cell, int16, in the
-    row-major order of the first six ``CountTable`` axes.  An outcome's
-    axis index is [v < 0] + 2 [v = 0]: +1 -> 0, -1 -> 1, UNDEFINED -> 2."""
+def _check_log(log: RunLog) -> None:
+    """``tabulate``'s range checks of the settings and the outcomes."""
     for setting in (log.x, log.y):
         if setting.size and (setting.min() < 1 or setting.max() > 2):
             raise ValueError("setting indices outside the two-setting scenario")
@@ -148,6 +146,12 @@ def cell_key(log: RunLog) -> np.ndarray:
             column.min() < -1 or column.max() > 1 or (defined and not column.all())
         ):
             raise ValueError("outcomes outside +-1 (A, B) or +-1, 0 (C, D)")
+
+
+def cell_key(log: RunLog) -> np.ndarray:
+    """Index 0..143 of each trial's (x, y, a, b, c, d) cell, int16, in the
+    row-major order of the first six ``CountTable`` axes, of a log that
+    ``tabulate`` accepts, unchecked.  +1, -1, UNDEFINED -> axis index 0, 1, 2."""
     key = log.x.astype(np.int16)
     key *= 2
     key += log.y - 3
@@ -163,7 +167,9 @@ def cell_key(log: RunLog) -> np.ndarray:
 
 def tabulate(log: RunLog) -> CountTable:
     """Count a run log into N(x, y, a, b, c, d, lambda-bin) with one
-    ``np.bincount`` over ``cell_key`` refined by the lambda bin."""
+    ``np.bincount`` over ``cell_key`` refined by the lambda bin, after the
+    one check of a log: ValueError on a setting, outcome or bin outside its values."""
+    _check_log(log)
     key = cell_key(log)
     binner = MODELS[log.model].binner if log.model in MODELS else None
     n_bins = 1 if binner is None else LAMBDA_BINS

@@ -416,31 +416,25 @@ def run_trials(
 ) -> RunLog:
     """Run a contiguous block of trials; row i depends only on (seed, i).
 
-    A block longer than ``CHUNK`` is sampled ``CHUNK`` trials at a time,
-    each piece by its own call, which frees the piece's draw block before
-    the next piece is drawn; the pieces are copied into columns allocated
-    from the first one."""
+    One loop samples the block in pieces of at most ``CHUNK`` trials and
+    frees each piece's draw block before the next is drawn.  A block of one
+    piece, an empty one too, is returned as sampled; the pieces of a longer
+    block are copied into columns allocated from the first one."""
     entry, options = model_entry(spec.kind, model, options)
     n_trials = spec.trials - first_trial if n_trials is None else n_trials
     xs, ys = sample_settings_block(spec, seed, n_trials, first_trial)
-    if n_trials > CHUNK:
-        log = None
-        for lo in range(0, n_trials, CHUNK):
-            piece = run_trials(
-                spec, model, seed, options, first_trial + lo, min(CHUNK, n_trials - lo)
-            )
-            if log is None:
-                outcomes = [np.empty(n_trials, getattr(piece, name).dtype) for name in "abcd"]
-                lam = {name: np.empty(n_trials, c.dtype) for name, c in piece.lam.items()}
-                log = RunLog(model, xs, ys, *outcomes, lam, first_trial)
-            rows = slice(lo, lo + len(piece))
-            for name in "abcd":
-                getattr(log, name)[rows] = getattr(piece, name)
-            for name, column in piece.lam.items():
-                log.lam[name][rows] = column
-        return log
-    u = uniform_block(seed, f"model:{model}", n_trials, entry.draws, first_trial)
-    a, b, c, d, lam = entry.sample(spec, xs, ys, u, options)
-    if c is None:  # the model assigns no friend outcomes
-        c, d = (np.full(n_trials, UNDEFINED, dtype=np.int8) for _ in "cd")
-    return RunLog(model, xs, ys, a, b, c, d, lam, first_trial)
+    for lo in range(0, max(n_trials, 1), CHUNK):  # an empty block is one empty piece
+        hi = min(lo + CHUNK, n_trials)
+        u = uniform_block(seed, f"model:{model}", hi - lo, entry.draws, first_trial + lo)
+        a, b, c, d, lam = entry.sample(spec, xs[lo:hi], ys[lo:hi], u, options)
+        del u
+        if c is None:  # the model assigns no friend outcomes
+            c, d = (np.full(hi - lo, UNDEFINED, dtype=np.int8) for _ in "cd")
+        if n_trials <= CHUNK:
+            return RunLog(model, xs, ys, a, b, c, d, lam, first_trial)
+        pieces = [a, b, c, d, *lam.values()]  # lam has the same keys in every piece
+        if lo == 0:
+            columns = [np.empty(n_trials, piece.dtype) for piece in pieces]
+        for column, piece in zip(columns, pieces):
+            column[lo:hi] = piece
+    return RunLog(model, xs, ys, *columns[:4], dict(zip(lam, columns[4:])), first_trial)

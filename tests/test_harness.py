@@ -533,6 +533,24 @@ def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):
     assert e["n"] == result.report["per_setting_counts"]["x2y1"]
 
 
+def test_a_written_chunk_is_checked_once(tmp_path, monkeypatch):
+    # tabulate checks each chunk; the runs.csv writer keys it unchecked
+    calls = []
+
+    def counted(log, _fn=inequality._check_log):
+        calls.append(len(log))
+        return _fn(log)
+
+    monkeypatch.setattr(inequality, "_check_log", counted)
+    monkeypatch.setattr(models, "CHUNK", 700)
+    config = CampaignConfig(
+        scenario=default_scenario(BRUKNER_EWFS, 2_000), model=MODEL_TOY, out_dir=tmp_path
+    )
+    run_campaign(config)
+    assert calls == [700, 700, 600]
+    assert len((tmp_path / "runs.csv").read_bytes().splitlines()) == 2_001
+
+
 def test_format_selection(tmp_path):
     config = CampaignConfig(
         scenario=default_scenario(BRUKNER_EWFS, 200),
@@ -1179,6 +1197,80 @@ def test_cli_fuzz_ends_in_a_known_exit_code(tmp_path_factory, flags, campaigns, 
     err = stderr.getvalue()
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_OUTPUT), (argv, campaigns, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, campaigns, err)
+
+
+_angle_pairs = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=2, max_size=2)
+
+
+@st.composite
+def _runnable_campaigns(draw):
+    """--compare entries with every key valid, each optional key drawn or
+    left out."""
+    kind, model = draw(st.sampled_from(_SUPPORTED))
+    entry = {"scenario": kind, "model": model, "trials": draw(st.sampled_from([300, 900]))}
+    optional = {
+        "seed": st.one_of(st.integers(-5, 5), st.just(2**70)),
+        "k": st.one_of(st.floats(0.5, 38.0), st.integers(1, 38)),
+        "check_assumptions": st.booleans(),
+        "label": st.text("ab", min_size=1, max_size=3),
+    }
+    if kind == STANDARD_BELL:
+        optional["alice_settings"] = optional["bob_settings"] = _angle_pairs
+    else:
+        optional["alice_settings"] = optional["bob_settings"] = st.sampled_from(
+            [["Z", "X"], ["Z", "Z"]]
+        )
+    if model == MODEL_TOY:
+        optional["model_options"] = st.fixed_dictionaries(
+            {}, optional={"bob_angles": _angle_pairs, "theta_after_plus": st.floats(-4.0, 4.0)}
+        )
+    if model == MODEL_LHV:
+        optional["model_options"] = st.sampled_from(
+            [{"weights": [1 / 16] * 16}, {"weights": [0] * 15 + [1]}, None]
+        )
+    for key, values in optional.items():
+        # the settings come as a pair: one without the other exits 2
+        if key != "bob_settings" and draw(st.booleans()):
+            entry[key] = draw(values)
+            if key == "alice_settings":
+                entry["bob_settings"] = draw(values)
+    return entry
+
+
+def _library_config(entry: dict, out_dir: Path) -> CampaignConfig:
+    """The campaign of a --compare entry, built by the library's own
+    constructors from the same values."""
+    kind, model, trials = entry["scenario"], entry["model"], entry["trials"]
+    if "alice_settings" in entry:
+        scenario = ScenarioSpec(kind, entry["alice_settings"], entry["bob_settings"], trials)
+    else:
+        scenario = default_scenario(kind, trials)
+    options = entry.get("model_options")
+    options = {MODEL_TOY: ToyOptions, MODEL_LHV: LhvOptions}[model](**options) if options else None
+    fields = {key: entry[key] for key in ("seed", "k", "check_assumptions", "label") if key in entry}
+    return CampaignConfig(
+        scenario, model, model_options=options, out_dir=out_dir, formats=("json",), **fields
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(campaign=_runnable_campaigns())
+def test_cli_compare_entry_writes_the_library_report(tmp_path_factory, campaign):
+    """A --compare entry that exits 0 writes the report.json bytes that
+    run_campaign writes for the config built directly from its values."""
+    root = tmp_path_factory.mktemp("same")
+    # a comparison takes two campaigns; the second writes to its own directory
+    other = {"scenario": "ewfs", "model": "lhv", "trials": 300, "label": "other"}
+    (root / "campaigns.json").write_text(json.dumps([campaign, other]))
+    argv = [f"--compare={root / 'campaigns.json'}", f"--out={root / 'cli'}", "--format=json"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == EXIT_OK, (campaign, stderr.getvalue())
+    run_campaign(_library_config(campaign, root / "lib"))
+    name = campaign.get("label", campaign["model"])
+    cli = (root / "cli" / name / "report.json").read_bytes()
+    assert cli == (root / "lib" / "report.json").read_bytes(), campaign
 
 
 # --- import graph ----------------------------------------------------------

@@ -33,7 +33,13 @@ from ewfs.models import (
     run_trials,
     singlet_joint_probs,
 )
-from ewfs.scenario import BRUKNER_EWFS, STANDARD_BELL, ScenarioSpec, default_scenario
+from ewfs.scenario import (
+    BRUKNER_EWFS,
+    STANDARD_BELL,
+    ScenarioSpec,
+    default_scenario,
+    sample_settings_block,
+)
 from ewfs.streams import uniform_block
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -258,9 +264,10 @@ def _typed_bytes(log, rows=slice(None)) -> list:
 def test_uneven_blocks_join_to_the_whole_log(model, monkeypatch):
     """1,700-trial blocks, the last one shorter, join to the log of the
     whole 10,000-trial range, column by column.  With ``CHUNK`` cut to 1,000
-    or 1,700, ``run_trials`` samples each range longer than ``CHUNK`` in
-    pieces, which give the bytes and dtypes of one pass."""
-    wholes = {}
+    or 1,700, and to 1 or 7 on short ranges, ``run_trials`` samples each
+    range longer than ``CHUNK`` in pieces, which give the bytes and dtypes
+    of one pass; an empty range is a 0-row log with those dtypes."""
+    wholes, one_pass = {}, models.CHUNK
     for kind in MODELS[model].kinds:
         spec = default_scenario(kind, 10_000)
         whole = wholes[spec] = run_trials(spec, model, seed=1)
@@ -279,6 +286,42 @@ def test_uneven_blocks_join_to_the_whole_log(model, monkeypatch):
                 assert log.first_trial == first and len(log) == n
                 assert _typed_bytes(log) == _typed_bytes(whole, slice(first, first + n))
                 assert not log.x.flags.writeable and not log.y.flags.writeable
+    for chunk in (1, 7, one_pass):
+        monkeypatch.setattr(models, "CHUNK", chunk)
+        ranges = [(0, 1), (0, 7), (0, 8), (3, 15), (9_990, 10), (0, 0), (10_000, 0)]
+        for spec, whole in wholes.items():
+            for first, n in ranges:
+                log = run_trials(spec, model, seed=1, first_trial=first, n_trials=n)
+                assert log.first_trial == first and len(log) == n
+                assert _typed_bytes(log) == _typed_bytes(whole, slice(first, first + n))
+            empty = run_trials(spec, model, seed=1, first_trial=spec.trials)
+            assert _typed_bytes(empty) == _typed_bytes(whole, slice(0, 0))
+
+
+def test_a_long_range_resolves_its_model_once(monkeypatch):
+    # one loop over the pieces, not one run_trials call per piece
+    calls = []
+
+    def counted(*args, _fn=models.model_entry):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(models, "model_entry", counted)
+    monkeypatch.setattr(models, "CHUNK", 100)
+    spec = default_scenario(BRUKNER_EWFS, 300)
+    log = run_trials(spec, MODEL_TOY, seed=2, first_trial=50, n_trials=250)
+    assert len(calls) == 1 and len(log) == 250
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_negative_trial_ranges_raise_index_error(model):
+    spec = default_scenario(BRUKNER_EWFS, 4_096)
+    for first, n in ((10_000, None), (0, -5)):
+        with pytest.raises(IndexError, match="^trial range outside spec.trials$"):
+            run_trials(spec, model, 1, first_trial=first, n_trials=n)
+        with pytest.raises(IndexError, match="^trial range outside spec.trials$"):
+            sample_settings_block(spec, 1, spec.trials - first if n is None else n, first)
+    assert len(run_trials(spec, model, 1, first_trial=spec.trials)) == 0
 
 
 # --- reference samplers ----------------------------------------------------
