@@ -107,20 +107,19 @@ class CampaignConfig:
         require(ok, "formats", 'a tuple drawn from "json" and "csv"', self.formats)
 
     def echo(self) -> dict:
+        """The campaign as the flat keys ``config_from_dict`` reads: a
+        --compare entry that runs it again."""
+        options = self.model_options
         return {
-            "scenario": {
-                "kind": self.scenario.kind,
-                "alice_settings": list(self.scenario.alice_settings),
-                "bob_settings": list(self.scenario.bob_settings),
-                "trials": self.scenario.trials,
-                "friend_axis": "z",
-            },
+            "scenario": self.scenario.kind,
+            "alice_settings": list(self.scenario.alice_settings),
+            "bob_settings": list(self.scenario.bob_settings),
+            "trials": self.scenario.trials,
             "model": self.model,
+            "model_options": None if options is None else dict(vars(options)),
             "seed": self.seed,
             "k": self.k,
-            "model_options": (
-                None if self.model_options is None else dict(vars(self.model_options))
-            ),
+            "check_assumptions": self.check_assumptions,
             "label": self.label,
         }
 
@@ -434,6 +433,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
     report = {
+        "schema": 2,
         "config_echo": config.echo(),
         "assumptions": None if assum is None else assum.to_dict(),
         **ineq.to_dict(),
@@ -676,13 +676,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OverflowError) as exc:
         parser.error(str(exc))
     ineq = result.inequality
+    verdict = "violated" if ineq.violated else "satisfied"
     print(
         f"model={config.model} scenario={config.scenario.kind} "
         f"trials={config.scenario.trials} seed={config.seed}"
     )
     print(
         f"S={ineq.s:+.4f} SE={ineq.se:.4f} S_max={ineq.s_max:+.4f} "
-        f"(variant {ineq.s_max_variant}) bound={ineq.bound} verdict={result.report['verdict']}"
+        f"(variant {ineq.s_max_variant}) bound={ineq.bound} verdict={verdict}"
     )
     if result.assumptions is not None:
         flags = ", ".join(

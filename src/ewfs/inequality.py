@@ -238,7 +238,7 @@ class PolytopeVerdict:
 
     member: bool
     weights: list[float] | None
-    residual: float
+    residual: float | None  # None when the LP did not run or failed
     tolerance: float
     cause: str | None = None
 
@@ -334,10 +334,10 @@ def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeV
         raise ValueError("behavior holds NaN or infinity")
     tol = float(tol)
     if not decide(signaling_measure(probs), tol):
-        return PolytopeVerdict(False, None, np.inf, tol, cause="signaling")
+        return PolytopeVerdict(False, None, None, tol, cause="signaling")
     x = linprog(probs.reshape(-1))
     if x is None:
-        return PolytopeVerdict(False, None, np.inf, tol, cause="lp-failure")
+        return PolytopeVerdict(False, None, None, tol, cause="lp-failure")
     residual = float(x[16])
     if decide(residual, tol):
         return PolytopeVerdict(True, x[:16].tolist(), residual, tol)
@@ -439,21 +439,17 @@ class InequalityReport:
     n: np.ndarray  # trials per setting pair
 
     def to_dict(self) -> dict:
-        """The CHSH section of report.json."""
+        """The CHSH section of report.json; ``k`` is the config's and ``s_max_se`` is ``se``."""
         columns = (array.ravel().tolist() for array in (self.correlators, self.errors, self.n))
         cells = zip(("x1y1", "x1y2", "x2y1", "x2y2"), *columns)
         expect = {key: {"E": e, "SE": se, "n": n} for key, e, se, n in cells}
         return {
-            "per_setting_counts": {key: cell["n"] for key, cell in expect.items()},
             "expectations": expect,
-            "verdict": "violated" if self.violated else "satisfied",
             "S": self.s,
             "SE": self.se,
             "S_max": self.s_max,
             "S_max_variant": self.s_max_variant,
-            "S_max_SE": self.s_max_se,
             "bound": self.bound,
-            "k": self.k,
             "violated": bool(self.violated),
             "certificate": self.polytope.to_dict(),
         }

@@ -121,7 +121,10 @@ def sample_settings_block(
     """Uniform i.i.d. settings (x, y) for trials [first_trial, first_trial +
     n_trials): two read-only int8 arrays with values in {1, 2}.  Each
     trial's pair 2(x - 1) + (y - 1) is floor(4u) of its one settings-stream
-    draw.  IndexError on a negative first_trial or n_trials, or an end past spec.trials."""
+    draw.  ValueError on a first_trial or n_trials that is not an integer;
+    IndexError on a negative one, or an end past spec.trials."""
+    require(integer(first_trial), "first_trial", "an integer", first_trial)
+    require(integer(n_trials), "n_trials", "an integer", n_trials)
     if first_trial < 0 or n_trials < 0 or first_trial + n_trials > spec.trials:
         raise IndexError("trial range outside spec.trials")
     return _settings_block(seed, n_trials, first_trial)

@@ -32,7 +32,7 @@ def substream(seed: int, label: str, offset: int = 0) -> np.random.Generator:
     """Generator positioned ``offset`` doubles into the (seed, label) stream."""
     bg = np.random.PCG64(np.random.SeedSequence(entropy=stream_entropy(seed, label)))
     if offset:
-        bg.advance(offset)
+        bg.advance(int(offset))  # numpy's advance rejects a numpy integer
     return np.random.Generator(bg)
 
 

@@ -1,20 +1,28 @@
-"""Golden bytes: sha256 of report.json and runs.csv for fixed campaigns.
+"""Golden bytes: report.json and runs.csv of fixed campaigns.
 
-Each digest pins every output byte of one (scenario, model, seed, options,
-trials) campaign, so a refactor that changes no behaviour must leave all of
-them as they are.  The digests were recorded once and are not to be edited.
+Each (scenario, model, seed, options, trials) campaign must write the bytes
+of its reference report, ``golden/<id>.report.json``, and a runs.csv of the
+sha256 in ``GOLDEN``, so a refactor that changes no behaviour leaves every
+output byte as it is.  ``GOLDEN`` also pins each reference file's sha256.
+On a report mismatch the test names each JSON path that differs, with its
+old and new values.  A deliberate change to a reference file or a digest is
+listed in CHANGES.md, path by path, with the old and new digests.
 """
 
 import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from ewfs.harness import CampaignConfig, run_campaign
+from ewfs.harness import CampaignConfig, config_from_dict, run_campaign
 from ewfs.models import TOY_OPTIMAL_CHSH, LhvOptions
 from ewfs.scenario import default_scenario
 
 TRIALS = 3_000
 SKEWED_WEIGHTS = LhvOptions(weights=tuple((i + 1) / 136 for i in range(16)))
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # id -> (scenario kind, model, model options)
 CAMPAIGNS = {
@@ -29,48 +37,54 @@ CAMPAIGNS = {
     "ewfs-lhv-skewed": ("ewfs", "lhv", SKEWED_WEIGHTS),
 }
 
-# id -> (sha256 of report.json, sha256 of runs.csv)
+# id -> (sha256 of golden/<id>.report.json, sha256 of runs.csv)
 GOLDEN = {
     "ewfs-unitary-qm": (
-        "16b5347243163822653188e9619e074ad7003bd2a01516de1f58fc4654c15cf7",
+        "882cc111b98c12def8fe0c528c8fd4d95c7722dc27d1c91cc7a40f1adb4cf8ce",
         "a5ee745dace64cf157c39186cf84f397168de81d31af93f50558f2bc92b73883",
     ),
     "ewfs-collapse": (
-        "561aa434f338e1f7655bfdd2d9eb632766bfab5c440dfab9a3dcb6aa2d28e99f",
+        "1d3b1d32c1d8ca1de8b30eec355b1fcacccdd9ba8b60a16f3d711df859f190b3",
         "696e1e29cfeb7299d8e60a29de6d93a2ab76c309069a0fd49745199916cca65e",
     ),
     "ewfs-toy-theta": (
-        "7ae5d2c62cd8fc6aa125ca1a23b7cab7e68aa6474f5a632a90907d896845e983",
+        "311dcbe1e9ad9081b38352fc687276199f25227012714b13326b603c60edca71",
         "d66e7656ffb24c9fd73cb62e47909f93511138168c8de8a8387bc3c327226cd2",
     ),
     "ewfs-lhv": (
-        "10cf23ef235fdc116e3c7a005bbcc9abae1de44e237f6336a3f0781ce6e2883f",
+        "d3c166960b8fd79aee1d7388a1ca661609a680ecf399758f33833872336d74e1",
         "b8aeea4d2c0032baa6270f309b3847bd331d8e2b980b12a6ad4dd98db5be1766",
     ),
     "bell-collapse": (
-        "bfb5243ae3c05cade42ab8ea35619e2584602782e0077adc170d867d8f86c941",
+        "1774146401908737908defecf34b329fd07e55c30f8535c750c076b8bebf3e42",
         "de7e2e7f78a86b5bf5bcfdfe9732d4ebece259e1a988a89f0a75b2985ea852f0",
     ),
     "bell-toy-theta": (
-        "dc510059dcc867fbbcdd0e93445ddca2fd63b09d2dcdaf25237e451c128f9689",
+        "17709858270731128905af6e8e851615adf12a7b41a005f613f97e5005e10e8d",
         "763f84102b920cc9f23a9f3e00a9e36b87b4272e464a288df3568d40af3da1e0",
     ),
     "bell-lhv": (
-        "0a997b371485852d398b49c67fb1c7dcb0dbcc15c6328b948ca7bdb8539424fb",
+        "dcc6ffc2642383a258508254e684cfab129f8696cc5ae2f896f41fadfdb5ceb4",
         "ba6b7688e6a93b8941ae2325a1d775deb235cf5e28df504a0e79f098323c6ec9",
     ),
     "ewfs-toy-theta-optimal": (
-        "b5685f93a8d797abb907575d58ff9ba5e9ab3a6fc5852672367dabec75698add",
+        "65c481ea86f50c6394e373fd1a917f1a5ce728107cc1fccc10482f0b52138b8b",
         "0e2ae5e28e7a5244ff28d067bcb1a02cdb827ef84cac9e51f8b38b05d516ca1f",
     ),
     "ewfs-lhv-skewed": (
-        "dc80881dbef7d5416d07a597659b6daab3c17ef608d6939377d99cb1b893ef78",
+        "54fff364dd51624e36c998df4bb0fe52855841848530724abc13a75cf655f167",
         "11bd559728365ad6bba3795aead97b25821dcf586aded1b42ebdf942bc6e0923",
     ),
 }
 
 
-def _digests(name, out_dir):
+def reference(name) -> bytes:
+    """The reference report.json of campaign ``name``."""
+    return (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+
+
+def _outputs(name, out_dir) -> tuple[bytes, str]:
+    """The report.json bytes and the runs.csv sha256 of campaign ``name``."""
     kind, model, options = CAMPAIGNS[name]
     run_campaign(
         CampaignConfig(
@@ -83,12 +97,74 @@ def _digests(name, out_dir):
             formats=("json", "csv"),
         )
     )
-    return tuple(
-        hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
-        for f in ("report.json", "runs.csv")
-    )
+    csv = hashlib.sha256((out_dir / "runs.csv").read_bytes()).hexdigest()
+    return (out_dir / "report.json").read_bytes(), csv
+
+
+def _leaves(value, path="$") -> dict:
+    """Each leaf of a JSON value by its path, an empty object or list a leaf."""
+    if isinstance(value, dict) and value:
+        items = [(f"{path}.{key}", item) for key, item in value.items()]
+    elif isinstance(value, list) and value:
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return {path: value}
+    return {leaf: v for sub, item in items for leaf, v in _leaves(item, sub).items()}
+
+
+def report_diff(old: bytes, new: bytes) -> str:
+    """The JSON paths where report ``new`` differs from ``old``, one a line
+    with the old and new values, or a note that only the bytes differ."""
+    old_leaves, new_leaves = (_leaves(json.loads(text)) for text in (old, new))
+
+    def show(leaves, path):
+        return repr(leaves[path]) if path in leaves else "(absent)"
+
+    lines = []
+    for path in sorted(old_leaves.keys() | new_leaves.keys()):
+        before, after = show(old_leaves, path), show(new_leaves, path)
+        if before != after:
+            lines.append(f"{path}: {before} -> {after}")
+    return "\n".join(lines) or "same JSON values, different bytes"
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_outputs_match_golden_digests(name, tmp_path):
-    assert _digests(name, tmp_path) == GOLDEN[name]
+    expected = reference(name)
+    assert hashlib.sha256(expected).hexdigest() == GOLDEN[name][0]
+    report, csv = _outputs(name, tmp_path)
+    assert report == expected, f"{name} report.json differs at\n{report_diff(expected, report)}"
+    assert csv == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_golden_reports_are_strict_json(name):
+    # no NaN or Infinity, which RFC 8259 does not have
+    json.loads(reference(name), parse_constant=_strict)
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_config_echo_runs_the_campaign_again(name, tmp_path):
+    # the echo is a --compare entry: it rebuilds the campaign, which writes
+    # the same report.json
+    text = reference(name)
+    config = config_from_dict(json.loads(text)["config_echo"])
+    run_campaign(replace(config, out_dir=tmp_path, formats=("json",)))
+    report = (tmp_path / "report.json").read_bytes()
+    assert report == text, report_diff(text, report)
+
+
+def test_report_diff_names_each_changed_path():
+    old = b'{"a": {"b": 1, "c": [1, 2]}, "d": Infinity}'
+    new = b'{"a": {"b": 2, "c": [1]}, "e": null}'
+    assert report_diff(old, new).splitlines() == [
+        "$.a.b: 1 -> 2",
+        "$.a.c[1]: 2 -> (absent)",
+        "$.d: inf -> (absent)",
+        "$.e: (absent) -> None",
+    ]
+    assert report_diff(b'{"a": 1}', b'{"a":1}') == "same JSON values, different bytes"

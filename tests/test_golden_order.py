@@ -3,7 +3,8 @@
 The HiGHS solver and the settings memo live as long as the process, so in
 the full test run every golden campaign starts from the state its
 predecessors left.  Here they run in the reverse of that order, in one
-child that starts empty, and each must still give its pinned digests.
+child that starts empty, and each must still write its reference
+report.json and a runs.csv of its pinned digest.
 """
 
 import json
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ewfs import harness
-from test_golden import CAMPAIGNS, GOLDEN
+from test_golden import CAMPAIGNS, GOLDEN, reference, report_diff
 
 SCRIPT = """
 import json, sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import test_golden
 out = Path(sys.argv[1])
 names = sorted(test_golden.CAMPAIGNS, reverse=True)
-print(json.dumps([[name, test_golden._digests(name, out / name)] for name in names]))
+print(json.dumps([[name, test_golden._outputs(name, out / name)[1]] for name in names]))
 """
 
 
@@ -37,5 +38,7 @@ def test_golden_campaigns_in_reverse_order(tmp_path):
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
     assert [name for name, _ in digests] == sorted(CAMPAIGNS, reverse=True)
-    for name, pair in digests:
-        assert tuple(pair) == GOLDEN[name], name
+    for name, csv in digests:
+        report = (tmp_path / name / "report.json").read_bytes()
+        assert report == reference(name), f"{name}\n{report_diff(reference(name), report)}"
+        assert csv == GOLDEN[name][1], name

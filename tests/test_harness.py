@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import unittest.mock
@@ -146,13 +147,20 @@ def test_run_campaign_writes_report_and_csv(tmp_path):
     result = run_campaign(config)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report == result.report
+    # schema 2 states each fact once: no k, S_max_SE, verdict or per-pair counts
+    assert set(report) == {
+        "schema", "config_echo", "assumptions", "expectations", "S", "SE", "S_max",
+        "S_max_variant", "bound", "violated", "certificate",
+    }
+    assert report["schema"] == 2
+    assert set(report["config_echo"]) == harness._CONFIG_KEYS
     assert report["config_echo"]["seed"] == 5
-    assert report["config_echo"]["scenario"]["kind"] == "ewfs"
-    assert set(report["per_setting_counts"]) == {"x1y1", "x1y2", "x2y1", "x2y2"}
-    assert sum(report["per_setting_counts"].values()) == 2_000
+    assert report["config_echo"]["scenario"] == "ewfs"
+    assert set(report["expectations"]) == {"x1y1", "x1y2", "x2y1", "x2y2"}
+    assert sum(cell["n"] for cell in report["expectations"].values()) == 2_000
     for cell in report["expectations"].values():
         assert {"E", "SE", "n"} <= set(cell)
-    assert report["verdict"] == "satisfied"
+    assert report["violated"] is False
     assert report["certificate"]["member"] is True
     assert report["assumptions"]["aoe_ii"]["passed"] is True
 
@@ -215,32 +223,41 @@ def _log_bytes(log) -> list:
 
 @pytest.mark.parametrize("kind,model,options", CHUNK_CASES)
 def test_campaign_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, kind, model, options):
-    spec = default_scenario(kind, 3_000)
-    log = run_trials(spec, model, seed=4, options=options)
-    whole = _log_bytes(log)
     tables = []
     evaluate = inequality.evaluate
     monkeypatch.setattr(inequality, "evaluate", lambda t, k: tables.append(t) or evaluate(t, k=k))
+    one_chunk = models.CHUNK
+    # both campaigns are one chunk at the default size, whose log is built
+    # again too; each 1-trial chunk pays the runs.csv writer's fixed cost, so
+    # that case runs on 300 trials
+    assert one_chunk >= 3_000
+    for trials, chunks in ((3_000, (7, 1_000, 2_999)), (300, (1,))):
+        spec = default_scenario(kind, trials)
+        log = run_trials(spec, model, seed=4, options=options)
+        whole = _log_bytes(log)
+        tables.clear()
 
-    def campaign(out):
-        return run_campaign(CampaignConfig(spec, model, seed=4, model_options=options, out_dir=out))
+        def campaign(out):
+            config = CampaignConfig(spec, model, seed=4, model_options=options, out_dir=out)
+            return run_campaign(config)
 
-    # 3,000 trials are one chunk at the default size, whose log is built again too
-    assert models.CHUNK >= 3_000
-    assert _log_bytes(campaign(tmp_path / "default").log) == whole
-    files = ("report.json", "runs.csv")
-    expected = {name: (tmp_path / "default" / name).read_bytes() for name in files}
-    for chunk in (1, 7, 1_000, 2_999):
-        monkeypatch.setattr(models, "CHUNK", chunk)
-        result = campaign(tmp_path / str(chunk))
-        for name, data in expected.items():
-            assert (tmp_path / str(chunk) / name).read_bytes() == data, (chunk, name)
-        # a multi-chunk campaign builds its log again on first access
-        assert _log_bytes(result.log) == whole, chunk
-    # every campaign counted the whole log's table, lambda axis and all
-    counts = inequality.tabulate(log).counts
-    for table in tables:
-        assert table.counts.shape == counts.shape and table.counts.tobytes() == counts.tobytes()
+        monkeypatch.setattr(models, "CHUNK", one_chunk)
+        default = tmp_path / f"{trials}-default"
+        assert _log_bytes(campaign(default).log) == whole
+        expected = {name: (default / name).read_bytes() for name in ("report.json", "runs.csv")}
+        for chunk in chunks:
+            monkeypatch.setattr(models, "CHUNK", chunk)
+            out = tmp_path / f"{trials}-{chunk}"
+            result = campaign(out)
+            for name, data in expected.items():
+                assert (out / name).read_bytes() == data, (trials, chunk, name)
+            # a multi-chunk campaign builds its log again on first access
+            assert _log_bytes(result.log) == whole, (trials, chunk)
+        # every campaign counted the whole log's table, lambda axis and all
+        counts = inequality.tabulate(log).counts
+        assert len(tables) == 1 + len(chunks)
+        for table in tables:
+            assert table.counts.shape == counts.shape and table.counts.tobytes() == counts.tobytes()
 
 
 def _csv_writer_reference(log):
@@ -487,7 +504,7 @@ def test_k_and_trials_of_any_number_type_write_one_report(tmp_path):
         return CampaignConfig(default_scenario(BRUKNER_EWFS, trials), MODEL_LHV, seed=seed, k=k)
 
     expected = report("float", config(2_000, 3.0))
-    assert expected.count(b'"k": 3.0') == 2  # the config echo and the CHSH section
+    assert expected.count(b'"k": 3.0') == 1  # the config echo
     cases = {
         "int": config(2_000, 3),
         "numpy": config(np.int64(2_000), np.int64(3), np.int64(2)),
@@ -530,7 +547,7 @@ def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):
     assert calls == {"expectations": 1, "chsh_values": 1}
     e = result.report["expectations"]["x2y1"]
     assert e["E"] == result.inequality.correlators[1, 0]
-    assert e["n"] == result.report["per_setting_counts"]["x2y1"]
+    assert e["n"] == result.inequality.n[1, 0]
 
 
 def test_a_written_chunk_is_checked_once(tmp_path, monkeypatch):
@@ -595,6 +612,16 @@ def test_cli_basic_run(tmp_path, capsys):
     assert "S_max" in out and "assumptions:" in out
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("scenario,model", [("ewfs", "lhv"), ("bell", "collapse")])
+def test_cli_verdict_word_is_the_violated_flag(scenario, model, tmp_path, capsys):
+    argv = ["--scenario", scenario, "--model", model, "--trials", "2000", "--out", str(tmp_path)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    violated = json.loads((tmp_path / "report.json").read_text())["violated"]
+    word = re.search(r" verdict=(\w+)$", capsys.readouterr().out, re.M).group(1)
+    assert word == ("violated" if violated else "satisfied")
+    assert violated == (model == "collapse")  # a singlet at the CHSH angles violates
 
 
 @pytest.mark.parametrize(

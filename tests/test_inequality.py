@@ -416,6 +416,7 @@ def test_signaling_table_is_rejected_early():
     verdict = local_polytope_feasible(probs)
     assert not verdict.member
     assert verdict.cause == "signaling"
+    assert verdict.residual is None  # the LP did not run
 
 
 def test_membership_matches_facets_on_random_no_signaling_boxes():
@@ -506,7 +507,8 @@ def test_a_failed_solve_leaves_the_next_one_unchanged():
 def test_lp_failure_is_reported_as_a_non_member(monkeypatch):
     monkeypatch.setattr(inequality, "linprog", lambda p: None)
     verdict = local_polytope_feasible(deterministic_strategy_tables()[0], tol=1e-3)
-    assert verdict == PolytopeVerdict(False, None, math.inf, 1e-3, "lp-failure")
+    # no LP residual, so report.json writes null, not the non-JSON Infinity
+    assert verdict == PolytopeVerdict(False, None, None, 1e-3, "lp-failure")
 
 
 # --- analytic quantum predictions ------------------------------------------

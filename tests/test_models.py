@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import chi2
 
 from conftest import analytic_expectations, singlet, spin_projectors
 from test_golden import SKEWED_WEIGHTS
-from ewfs import inequality, models, qcore
+from ewfs import inequality, models, qcore, scenario
 from ewfs.harness import CampaignConfig, run_campaign
 from ewfs.models import (
     MODEL_COLLAPSE,
@@ -322,6 +323,27 @@ def test_negative_trial_ranges_raise_index_error(model):
         with pytest.raises(IndexError, match="^trial range outside spec.trials$"):
             sample_settings_block(spec, 1, spec.trials - first if n is None else n, first)
     assert len(run_trials(spec, model, 1, first_trial=spec.trials)) == 0
+
+
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize(
+    "key,bad", [("n_trials", True), ("n_trials", 5.0), ("first_trial", True), ("first_trial", 2.0)]
+)
+def test_trial_range_bounds_must_be_integers(key, bad, memo):
+    # a bool or a float bound is refused by name, whether or not the
+    # settings memo already holds the block it would slice
+    spec = default_scenario(BRUKNER_EWFS, 100)
+    scenario._settings_block.clear()
+    if memo:
+        sample_settings_block(spec, 1, spec.trials)
+    message = rf"^{key} must be an integer; cannot convert {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        run_trials(spec, MODEL_LHV, 1, **{key: bad})
+    bounds = {"n_trials": 5, "first_trial": 0, key: bad}
+    with pytest.raises(ValueError, match=message):
+        sample_settings_block(spec, 1, bounds["n_trials"], bounds["first_trial"])
+    log = run_trials(spec, MODEL_LHV, 1, first_trial=np.int64(2), n_trials=np.int64(5))
+    assert (log.first_trial, len(log)) == (2, 5)
 
 
 # --- reference samplers ----------------------------------------------------
