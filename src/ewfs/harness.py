@@ -97,7 +97,7 @@ class CampaignConfig:
     def __post_init__(self):
         model_entry(self.scenario.kind, self.model, self.model_options)
         require(integer(self.seed), "seed", "an integer", self.seed)
-        # From k ~ 38.4 the per-cell level in _familywise_k underflows to 0.
+        # From k ~ 38.4 the G-tests' familywise level erfc(k / sqrt 2) underflows to 0.
         require(finite_real(self.k) and 0 < self.k <= 38, "k", "a number in (0, 38]", self.k)
         self.k = float(self.k)  # k = 3 and k = 3.0 write the same report
         require(isinstance(self.check_assumptions, bool), "check_assumptions", "a bool",
@@ -433,7 +433,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     ineq = inequality.evaluate(table, k=config.k)
     assum = assumptions_mod.check_all(table, k=config.k) if config.check_assumptions else None
     report = {
-        "schema": 2,
+        "schema": 3,
         "config_echo": config.echo(),
         "assumptions": None if assum is None else assum.to_dict(),
         **ineq.to_dict(),
@@ -644,9 +644,9 @@ def _compare_configs(args) -> list[CampaignConfig]:
     configs = [config_from_dict(d) for d in data]
     if args.out:
         names, formats = set(), _FORMATS[args.format or "both"]
-        for i, (campaign, config) in enumerate(zip(data, configs)):
-            name = config.label if "label" in campaign else config.model
-            if name in ("", ".", "..") or "/" in name or "\\" in name:
+        for i, config in enumerate(configs):
+            name = config.label or config.model  # an empty label names no directory
+            if name in (".", "..") or "/" in name or "\\" in name:
                 raise ValueError(f"label {name!r} is not a plain directory name")
             if name in names:
                 raise ValueError(f"two campaigns would write to directory {name!r}")

@@ -18,7 +18,10 @@ totals come from ``CountTable.n``, which raises ``EmptyCell`` on an empty
 pair through ``pair_totals``.  ``evaluate`` computes the (2, 2) correlator
 and SE arrays and the 8 facet values once each, and its ``InequalityReport``
 carries them.  Every verdict, here and in ``assumptions``, is ``decide``:
-fail iff a conclusive statistic exceeds its threshold.
+fail iff a conclusive statistic exceeds its threshold.  Each test of
+whether a distribution depends on a setting (signaling here; NSD, locality
+and settings independence in ``assumptions``) is one ``g_test``: a G-test
+of ``homogeneity`` per stratum, at a familywise level that k sets.
 
 Sign conventions: outcomes are +/-1, setting indices are 1-based, and the
 canonical CHSH combination is S = E11 + E12 + E21 - E22 <= 2.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +39,17 @@ from .models import LAMBDA_BINS, MODELS, RunLog, lhv_strategies
 
 CHSH_BOUND = 2.0
 LP_TOL = 1e-7
+MIN_CELL = 100  # trials a group of a G-test, or an AOE cell, needs to count
 
 __all__ = [
     "CHSH_BOUND",
+    "MIN_CELL",
     "EmptyCell",
     "decide",
+    "homogeneity",
+    "AssumptionCheck",
+    "g_test",
+    "check_signaling",
     "CountTable",
     "pair_totals",
     "PolytopeVerdict",
@@ -85,6 +94,80 @@ def decide(stat, threshold, conclusive=True) -> bool | None:
     if nan and conclusive:
         raise ValueError("NaN statistic or threshold in a conclusive verdict")
     return not exceeds if conclusive else None
+
+
+def _chi2_log_sf(g: float, df: int) -> float:
+    """ln P(chi^2_df > g), g > 0, integer df >= 1, in closed form with h = g/2:
+    e^-h sum_{j < df/2} h^j / j! (df even), or erfc(sqrt h) + e^-h sum_{1 <=
+    j <= (df-1)/2} h^(j-1/2) / Gamma(j+1/2) (df odd), summed from the terms'
+    logs so that a tail below the smallest float keeps its digits."""
+    h, odd = g / 2, df % 2
+    if df == 1 and h < 676:  # erfc(sqrt h), while it is a normal float
+        return math.log(math.erfc(math.sqrt(h)))
+    logs = [(j - odd / 2) * math.log(h) - math.lgamma(j - odd / 2 + 1) - h
+            for j in range(odd, (df + 1) // 2)]
+    if odd:  # ln erfc(sqrt h), by its asymptotic series once erfc is subnormal
+        z = math.sqrt(h)
+        logs.append(math.log(math.erfc(z)) if h < 676 else -h - math.log(
+            z * math.sqrt(math.pi) / (1 - 1 / (2 * h) + 3 / (4 * h * h))))
+    top = max(logs)
+    return min(top + math.log(math.fsum(math.exp(v - top) for v in logs)), 0.0)
+
+
+def homogeneity(counts) -> tuple[list[float], list[int], list[float]]:
+    """G-test of homogeneity of each stratum's (group, outcome) count table,
+    ``counts`` an array shaped (stratum, group, outcome) or one nested list
+    per stratum: G = 2 sum O ln(O / E), E = row x column total / N, and
+    df = (r - 1)(c - 1) over the r rows and c columns with a nonzero total.
+    Returns G, df and -log10 P(chi^2_df > G), one per stratum.  G is the
+    correctly rounded sum of its terms: the order of the groups or the
+    outcomes, or empty ones, cannot change it."""
+    g, df, log_p = [], [], []
+    for table in counts.tolist() if isinstance(counts, np.ndarray) else counts:
+        rows, cols = [sum(row) for row in table], [sum(col) for col in zip(*table)]
+        n = sum(rows)
+        g.append(max(2 * math.fsum([o * math.log(o * n / (r * c)) for row, r in zip(table, rows)
+                                    for o, c in zip(row, cols) if o]), 0.0))
+        df.append(max(len(rows) - rows.count(0) - 1, 0) * max(len(cols) - cols.count(0) - 1, 0))
+        log_p.append(0.0 - _chi2_log_sf(g[-1], df[-1]) / math.log(10) if g[-1] and df[-1] else 0.0)
+    return g, df, log_p
+
+
+@dataclass
+class AssumptionCheck:
+    """One assumption verdict, None when inconclusive or not applicable.  A
+    ``g_test``'s statistic is -log10 p of its deciding stratum, whose G and
+    df it holds; an AOE check's is an agreement frequency."""
+
+    statistic: float | None
+    threshold: float | None
+    passed: bool | None
+    detail: str = ""
+    cell_sizes: dict[str, int] = field(default_factory=dict)
+    g: float | None = None
+    df: int | None = None
+
+    def to_dict(self) -> dict:
+        return dict(vars(self))
+
+
+def g_test(counts: np.ndarray, k: float, detail: str, cell_sizes: dict) -> AssumptionCheck:
+    """Is the outcome distribution of each stratum of ``counts``, shape
+    (stratum, group, outcome), the same in every group?  Groups under
+    ``MIN_CELL`` trials are dropped; a stratum with two left is conclusive.
+    ``decide`` fails the check iff the smallest p-value, as -log10 p, is
+    below Sidak's per-test level 1 - (1 - alpha)^(1/m) over the m conclusive
+    strata, alpha = erfc(k / sqrt 2), the two-sided normal tail beyond k."""
+    tables = [[row for row in table if sum(row) >= MIN_CELL] for table in counts.tolist()]
+    tables = [table for table in tables if len(table) >= 2]
+    if not tables:
+        return AssumptionCheck(None, None, None, detail, cell_sizes)
+    g, df, log_p = homogeneity(tables)
+    level = -math.expm1(math.log1p(-math.erfc(k / math.sqrt(2.0))) / len(tables))
+    statistic, threshold = max(log_p), -math.log10(level)
+    worst = log_p.index(statistic)
+    return AssumptionCheck(statistic, threshold, decide(statistic, threshold), detail,
+                           cell_sizes, g[worst], df[worst])
 
 
 _AB_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b per outcome cell
@@ -223,13 +306,11 @@ def deterministic_strategy_tables() -> np.ndarray:
     return tables
 
 
-def signaling_measure(probs: np.ndarray) -> float:
-    """Largest marginal shift of one wing under the other wing's setting."""
-    p_a = probs.sum(axis=3)  # P(a | x, y)
-    p_b = probs.sum(axis=2)  # P(b | x, y)
-    alice = np.abs(p_a[:, 0, :] - p_a[:, 1, :]).max()
-    bob = np.abs(p_b[0, :, :] - p_b[1, :, :]).max()
-    return float(max(alice, bob))
+def check_signaling(table: CountTable, k: float = 3.0) -> AssumptionCheck:
+    """No-signaling as four G-tests: P(a | x, y) across y per x, P(b | x, y) across x per y."""
+    behavior = table.behavior()  # (x, y, a, b)
+    strata = np.concatenate([behavior.sum(axis=3), behavior.sum(axis=2).transpose(1, 0, 2)])
+    return g_test(strata, k, "G-test of P(a | x,y) across y and of P(b | x,y) across x", {})
 
 
 @dataclass
@@ -323,17 +404,18 @@ def linprog(p: np.ndarray) -> np.ndarray | None:
     return x if feasible else None
 
 
-def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL) -> PolytopeVerdict:
+def local_polytope_feasible(probs: np.ndarray, tol: float = LP_TOL,
+                            signals: bool = False) -> PolytopeVerdict:
     """Can a probability mixture of the 16 deterministic strategies reproduce
     P(a, b | x, y), shape (2, 2, 2, 2), within ``tol``?  Feasibility
     certifies the existence of a joint distribution over (A1, A2, B1, B2)
-    with the observed marginals.  A table that signals by more than ``tol``
-    is rejected before the LP.
+    with the observed marginals.  A table that ``signals`` (it failed
+    ``check_signaling``) is rejected before the LP.
     """
     if not np.isfinite(probs).all():
         raise ValueError("behavior holds NaN or infinity")
     tol = float(tol)
-    if not decide(signaling_measure(probs), tol):
+    if signals:
         return PolytopeVerdict(False, None, None, tol, cause="signaling")
     x = linprog(probs.reshape(-1))
     if x is None:
@@ -430,8 +512,8 @@ class InequalityReport:
     s_max_variant: int
     s_max_se: float
     bound: float
-    k: float
     violated: bool
+    signaling: AssumptionCheck  # the test that decides whether the LP runs
     polytope: PolytopeVerdict
     # what the statistics above were computed from, each (2, 2)
     correlators: np.ndarray  # E(x, y)
@@ -439,7 +521,7 @@ class InequalityReport:
     n: np.ndarray  # trials per setting pair
 
     def to_dict(self) -> dict:
-        """The CHSH section of report.json; ``k`` is the config's and ``s_max_se`` is ``se``."""
+        """The CHSH section of report.json; ``s_max_se`` is ``se``."""
         columns = (array.ravel().tolist() for array in (self.correlators, self.errors, self.n))
         cells = zip(("x1y1", "x1y2", "x2y1", "x2y2"), *columns)
         expect = {key: {"E": e, "SE": se, "n": n} for key, e, se, n in cells}
@@ -451,6 +533,7 @@ class InequalityReport:
             "S_max_variant": self.s_max_variant,
             "bound": self.bound,
             "violated": bool(self.violated),
+            "signaling": self.signaling.to_dict(),
             "certificate": self.polytope.to_dict(),
         }
 
@@ -460,7 +543,8 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
 
     The membership tolerance widens with the sampling noise of the table
     (k binomial standard errors on the least-populated cell) so finite logs
-    of local models are not flagged infeasible by fluctuation alone.
+    of local models are not flagged infeasible by fluctuation alone.  The LP
+    runs unless ``check_signaling`` fails at the same k.
     """
     n = table.n()
     e, errors = expectations(table)
@@ -470,7 +554,8 @@ def evaluate(table: CountTable, k: float = 3.0) -> InequalityReport:
     se = float(np.sqrt(np.sum(errors**2)))
     violated = not decide(s_max, CHSH_BOUND + k * se)
     stat_tol = LP_TOL + k * 0.5 / math.sqrt(int(n.min()))
-    polytope = local_polytope_feasible(table.probs(), tol=stat_tol)
+    signaling = check_signaling(table, k)
+    polytope = local_polytope_feasible(table.probs(), stat_tol, signaling.passed is False)
     return InequalityReport(
-        s, se, s_max, variant, se, CHSH_BOUND, k, violated, polytope, e, errors, n
+        s, se, s_max, variant, se, CHSH_BOUND, violated, signaling, polytope, e, errors, n
     )

@@ -6,8 +6,6 @@ import pytest
 
 from conftest import synthetic_log
 from ewfs.assumptions import (
-    MIN_CELL,
-    _familywise_k,
     check_all,
     check_aoe,
     check_locality,
@@ -15,7 +13,7 @@ from ewfs.assumptions import (
     check_settings_independence,
 )
 from ewfs.harness import CampaignConfig, run_campaign
-from ewfs.inequality import tabulate, verify_derivation_chain
+from ewfs.inequality import CountTable, check_signaling, g_test, tabulate, verify_derivation_chain
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
@@ -101,7 +99,7 @@ def test_nsd_fails_when_friend_reads_the_setting():
     log = synthetic_log(x, y, c, d, c, d)
     check = check_nsd(tabulate(log))
     assert check.passed is False
-    assert check.statistic > 0.4
+    assert check.df == 9 and check.statistic > 100  # p below 1e-100
 
 
 def test_locality_fails_when_wing_reads_distant_setting():
@@ -114,7 +112,11 @@ def test_locality_fails_when_wing_reads_distant_setting():
     log = synthetic_log(x, y, a, d, c, d)
     check = check_locality(tabulate(log))
     assert check.passed is False
-    assert check.statistic == pytest.approx(1.0)
+    # the deciding stratum, one of A's eight of about 2,500 trials, splits
+    # its outcome by y without error: G is twice its trials times the
+    # entropy of its y split, about ln 2 nats
+    assert check.df == 1 and check.statistic > 100
+    assert 2 * math.log(2) * 2_000 < check.g < 2 * math.log(2) * 3_000
 
 
 def test_settings_independence_fails_for_correlated_hidden_state():
@@ -130,18 +132,19 @@ def test_settings_independence_fails_for_correlated_hidden_state():
     )
     check = check_settings_independence(tabulate(log))
     assert check.passed is False
-    assert check.statistic > 0.4
+    assert check.df > 0 and check.statistic > 100
 
 
 # lhv with unequal weights on strategies 0..5 and none on the other ten, so
-# lambda bins 6..15 hold no trial.  Summing the settings-independence TV
-# over those empty bins too rounds differently and changes this report's
-# sha256.  A deliberate change to the digest is listed in CHANGES.md.
+# lambda bins 6..15 hold no trial.  A float sum over those empty bins can
+# round differently, which would change this report's sha256; the G-test
+# sums its terms exactly rounded.  A deliberate change to the digest is
+# listed in CHANGES.md.
 SIX_STRATEGIES = LhvOptions((
     0.051924335292003035, 0.2766340512668952, 0.2335090537445271,
     0.16723225207809017, 0.20370702821251593, 0.06699327940596875,
 ) + (0.0,) * 10)
-SIX_STRATEGIES_REPORT = "5c0b4b09bde8966ad5769a5e28acc40f068b33c3d49e34c21a858bb8275f857b"
+SIX_STRATEGIES_REPORT = "cba7f73b02ae3ccc56fc8ee17b41d4f507e2abc4f524c399ac51eba241b31bf2"
 
 
 def test_settings_independence_sums_only_up_to_the_last_used_lambda_bin(tmp_path):
@@ -173,23 +176,44 @@ def test_nsd_inconclusive_without_friend_outcomes():
     assert check_locality(tabulate(log)).passed is None
 
 
+def _threshold(k, comparisons):
+    """-log10 of the per-test level of a G-test check over ``comparisons``
+    conclusive strata of 100 trials per group."""
+    counts = np.full((comparisons, 2, 2), 50)
+    return g_test(counts, k, "", {}).threshold
+
+
 def test_familywise_threshold_grows_with_comparisons():
-    assert _familywise_k(3.0, 1) == 3.0
-    k16 = _familywise_k(3.0, 16)
-    assert k16 > 3.0
-    assert _familywise_k(3.0, 64) > k16
-    # still a sane z value
-    assert k16 < 5.0
+    alpha = math.erfc(3.0 / math.sqrt(2.0))  # the two-sided 3-sigma tail
+    assert _threshold(3.0, 1) == -math.log10(alpha)
+    t16 = _threshold(3.0, 16)
+    assert t16 > _threshold(3.0, 1)
+    assert _threshold(3.0, 64) > t16
+    # Sidak's level: 16 tests at 1 - (1 - alpha)^(1/16) each hold alpha
+    assert 1 - (1 - 10**-t16) ** 16 == pytest.approx(alpha, rel=1e-12)
 
 
 @pytest.mark.parametrize("comparisons", [2, 16, 64])
 def test_familywise_threshold_is_finite_and_increasing_in_k(comparisons):
-    # 1 - erfc(k / sqrt 2) rounds to 1 from k ~ 8.3 on; the per-cell level
-    # must stay positive there.
-    thresholds = [_familywise_k(float(k), comparisons) for k in range(3, 13)]
+    # 1 - erfc(k / sqrt 2) rounds to 1 from k ~ 8.3 on, and erfc(k / sqrt 2)
+    # to 0 from k ~ 38.4; the per-test level must stay positive up to 38.
+    ks = [*range(3, 13), 38]
+    thresholds = [_threshold(float(k), comparisons) for k in ks]
     assert all(map(math.isfinite, thresholds))
-    assert all(t > k for t, k in zip(thresholds, range(3, 13)))
+    assert all(t > -math.log10(math.erfc(k / math.sqrt(2))) for t, k in zip(thresholds, ks))
     assert all(lo < hi for lo, hi in zip(thresholds, thresholds[1:]))
+
+
+def test_groups_under_one_hundred_trials_are_dropped():
+    # MIN_CELL is 100: a G-test group of 99 trials is dropped, one of 100
+    # counts, whatever the outcomes in it
+    for size, conclusive in ((99, False), (100, True)):
+        counts = np.zeros((2, 2, 2, 2, 3, 3, 1), dtype=np.int64)
+        counts[0, :, 0, 0, 0, 0] = size  # per x = 1, A = +1 on both y
+        counts[1, :, 1, 1, 1, 1] = size  # per x = 2, A = -1 on both y
+        table = CountTable(counts)
+        for check in (check_signaling, check_nsd, check_locality):
+            assert (check(table).passed is not None) == conclusive, (size, check)
 
 
 def test_locality_passes_for_honest_toy_model_across_seeds():
@@ -227,7 +251,10 @@ def test_report_serialization():
         "aoe_i", "aoe_ii", "aoe_iii", "nsd", "locality", "settings_independence"
     }
     for entry in d.values():
-        assert {"statistic", "threshold", "passed", "detail", "cell_sizes"} <= set(entry)
+        assert set(entry) == {"statistic", "threshold", "passed", "detail", "cell_sizes", "g", "df"}
+        # a conclusive G-test states its G, df, -log10 p and -log10 level
+        if entry["passed"] is not None and entry["g"] is not None:
+            assert None not in (entry["statistic"], entry["threshold"], entry["df"])
 
 
 @pytest.mark.parametrize("kind,model", [
@@ -239,8 +266,10 @@ def test_verdicts_are_python_native_types(kind, model):
     # scalar through, so check the types themselves.  Each record's to_dict
     # copies its fields as they are, so the records are built native.
     result = run_campaign(CampaignConfig(default_scenario(kind, 3_000), model))
-    for check in result.assumptions.checks.values():
-        assert type(check.statistic) in (float, type(None))
+    for check in [*result.assumptions.checks.values(), result.inequality.signaling]:
+        for value in (check.statistic, check.threshold, check.g):
+            assert type(value) in (float, type(None))
+        assert type(check.df) in (int, type(None))
         assert type(check.passed) in (bool, type(None))
         assert all(type(n) is int for n in check.cell_sizes.values())
     assert type(result.inequality.polytope.member) is bool

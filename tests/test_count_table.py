@@ -2,9 +2,12 @@
 
 The ``_ref_*`` functions below scan the per-trial arrays of a run log with
 boolean masks, as the assumption checks and the derivation chain did before
-they read ``tabulate``'s count table.  The table-based checks must give the
-same ``to_dict()`` exactly; the chain, whose standard errors now come from
-counts, must agree to 1e-12 relative.
+they read ``tabulate``'s count table.  The AOE checks must give the same
+``to_dict()`` exactly.  The G-test checks build their contingency tables
+from the masks, and G and p come from ``scipy.stats``: each verdict, df
+and cell size must be the same, and the statistic, threshold and G agree to
+1e-9 relative.  The chain, whose standard errors now come from counts, must
+agree to 1e-12 relative.
 """
 
 import math
@@ -15,18 +18,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import synthetic_log
-from ewfs import assumptions
+from scipy.stats import chi2, chi2_contingency
+
+from ewfs import inequality
 from ewfs.assumptions import (
-    MIN_CELL,
     AssumptionCheck,
-    _familywise_k,
-    _tv,
     check_aoe,
     check_locality,
     check_nsd,
     check_settings_independence,
 )
-from ewfs.inequality import CountTable, EmptyCell, tabulate, verify_derivation_chain
+from ewfs.inequality import MIN_CELL, CountTable, EmptyCell, tabulate, verify_derivation_chain
 from ewfs.models import (
     MODEL_COLLAPSE,
     MODEL_LHV,
@@ -87,31 +89,40 @@ def _ref_aoe(log, min_cell=MIN_CELL):
     return checks
 
 
-def _ref_tv_by_settings(values, n_outcomes, x, y, k, min_cell, detail):
-    pooled = np.bincount(values, minlength=n_outcomes) / values.size
-    worst_tv, ok, any_conclusive = 0.0, True, False
-    cell_sizes = {}
-    for xv in np.unique(x):
-        for yv in np.unique(y):
-            mask = (x == xv) & (y == yv)
-            n = int(mask.sum())
-            cell_sizes[f"x{xv}y{yv}"] = n
-            if n < min_cell:
-                continue
-            any_conclusive = True
-            local = np.bincount(values[mask], minlength=n_outcomes) / n
-            tv = _tv(local, pooled)
-            worst_tv = max(worst_tv, tv)
-            threshold = k * 0.5 * float(np.sqrt(pooled * (1 - pooled) / n).sum())
-            if tv > threshold:
-                ok = False
+def _ref_g_test(tables, k, min_cell, detail, cell_sizes):
+    """The G-test check of the contingency tables ``tables``, one (group,
+    outcome) count array per stratum, with G and p from scipy."""
+    neg_log_p, stats = [], []
+    for table in tables:
+        table = table[table.sum(axis=1) >= min_cell]
+        if len(table) < 2:
+            continue
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] < 2:  # one outcome: no dof, and scipy's G is 0
+            stats.append((0.0, 0))
+            neg_log_p.append(0.0)
+            continue
+        g, _, dof, _ = chi2_contingency(table, correction=False, lambda_="log-likelihood")
+        stats.append((float(g), int(dof)))
+        neg_log_p.append(-float(chi2.logsf(g, dof)) / math.log(10))
+    if not stats:
+        return AssumptionCheck(None, None, None, detail, cell_sizes)
+    worst = int(np.argmax(neg_log_p))
+    level = 1 - (1 - math.erfc(k / math.sqrt(2))) ** (1 / len(stats))
+    threshold = -math.log10(level)
     return AssumptionCheck(
-        statistic=worst_tv if any_conclusive else None,
-        threshold=None,
-        passed=ok if any_conclusive else None,
-        detail=detail,
-        cell_sizes=cell_sizes,
+        neg_log_p[worst], threshold, neg_log_p[worst] <= threshold, detail, cell_sizes,
+        *stats[worst],
     )
+
+
+def _masked_counts(outcome, n_outcomes, groups):
+    """Outcome counts per group mask, shape (groups, n_outcomes)."""
+    return np.array([np.bincount(outcome[mask], minlength=n_outcomes) for mask in groups])
+
+
+def _setting_pairs(log):
+    return [(log.x == xv) & (log.y == yv) for xv in (1, 2) for yv in (1, 2)]
 
 
 def _ref_nsd(log, k=3.0, min_cell=MIN_CELL):
@@ -121,9 +132,9 @@ def _ref_nsd(log, k=3.0, min_cell=MIN_CELL):
             detail="friend outcomes undefined on some trials; inconclusive",
         )
     cd = (2 * (log.c == -1) + (log.d == -1)).astype(np.int64)
-    return _ref_tv_by_settings(
-        cd, 4, log.x, log.y, k, min_cell,
-        "max TV distance of P(C,D | x,y) from pooled P(C,D)",
+    return _ref_g_test(
+        [_masked_counts(cd, 4, _setting_pairs(log))], k, min_cell,
+        "G-test of P(C,D | x,y) across the setting pairs", {},
     )
 
 
@@ -133,8 +144,7 @@ def _ref_locality(log, k=3.0, min_cell=MIN_CELL):
             None, None, None,
             detail="friend outcomes undefined on some trials; inconclusive",
         )
-    cells = []
-    cell_sizes = {}
+    tables, cell_sizes = [], {}
     for wing, outcome, own, distant in (
         ("A", log.a, log.x, log.y),
         ("B", log.b, log.y, log.x),
@@ -143,31 +153,12 @@ def _ref_locality(log, k=3.0, min_cell=MIN_CELL):
             for dv in (1, -1):
                 for sv in (1, 2):
                     base = (log.c == cv) & (log.d == dv) & (own == sv)
-                    m1 = base & (distant == 1)
-                    m2 = base & (distant == 2)
-                    n1, n2 = int(m1.sum()), int(m2.sum())
-                    cell_sizes[f"{wing}:c{cv}d{dv}s{sv}"] = n1 + n2
-                    if min(n1, n2) >= min_cell:
-                        cells.append((outcome, m1, m2, n1, n2))
-    k_cell = _familywise_k(k, len(cells))
-    worst_tv, ok, any_conclusive = 0.0, True, bool(cells)
-    for outcome, m1, m2, n1, n2 in cells:
-        p1 = float((outcome[m1] == 1).mean())
-        p2 = float((outcome[m2] == 1).mean())
-        tv = abs(p1 - p2)
-        pooled = ((outcome[m1] == 1).sum() + (outcome[m2] == 1).sum()) / (n1 + n2)
-        threshold = k_cell * math.sqrt(
-            max(pooled * (1 - pooled), 1e-12) * (1 / n1 + 1 / n2)
-        )
-        worst_tv = max(worst_tv, tv)
-        if tv > threshold:
-            ok = False
-    return AssumptionCheck(
-        statistic=worst_tv if any_conclusive else None,
-        threshold=None,
-        passed=ok if any_conclusive else None,
-        detail="max TV shift of a wing's outcome under the distant setting",
-        cell_sizes=cell_sizes,
+                    groups = [base & (distant == 1), base & (distant == 2)]
+                    cell_sizes[f"{wing}:c{cv}d{dv}s{sv}"] = int(base.sum())
+                    tables.append(_masked_counts((outcome == -1).astype(np.int64), 2, groups))
+    return _ref_g_test(
+        tables, k, min_cell,
+        "G-test of P(A | c,d,x) across y and of P(B | c,d,y) across x", cell_sizes,
     )
 
 
@@ -178,11 +169,10 @@ def _ref_settings_independence(log, k=3.0, min_cell=MIN_CELL):
             None, None, None,
             detail="model declares no hidden-state payload; not applicable",
         )
-    bins = np.asarray(binner(log))
-    return _ref_tv_by_settings(
-        bins, int(bins.max()) + 1 if bins.size else 1,
-        log.x, log.y, k, min_cell,
-        "max TV distance of binned hidden state per (x,y) from pooled",
+    bins = np.asarray(binner(log), dtype=np.int64)
+    return _ref_g_test(
+        [_masked_counts(bins, LAMBDA_BINS, _setting_pairs(log))], k, min_cell,
+        "G-test of the binned hidden state across the setting pairs", {},
     )
 
 
@@ -217,20 +207,27 @@ def _ref_chain_values(log):
 
 
 def _assert_checks_match(log, min_cell=MIN_CELL):
-    """The table-based checks, run with ``assumptions.MIN_CELL`` patched to
+    """The table-based checks, run with ``inequality.MIN_CELL`` patched to
     ``min_cell``, against the references at that cell size."""
     table = tabulate(log)
-    with mock.patch.object(assumptions, "MIN_CELL", min_cell):
+    with mock.patch.object(inequality, "MIN_CELL", min_cell):
         got = {name: c.to_dict() for name, c in check_aoe(table).items()}
         got_cells = [
             check(table, 3.0).to_dict()
             for check in (check_nsd, check_locality, check_settings_independence)
         ]
     assert got == {name: c.to_dict() for name, c in _ref_aoe(log, min_cell).items()}
-    assert got_cells == [
-        ref(log, 3.0, min_cell).to_dict()
-        for ref in (_ref_nsd, _ref_locality, _ref_settings_independence)
-    ]
+    for check, ref in zip(got_cells, (_ref_nsd, _ref_locality, _ref_settings_independence)):
+        expected = ref(log, 3.0, min_cell).to_dict()
+        floats = ("statistic", "threshold", "g")
+        assert {key: check[key] for key in check if key not in floats} == {
+            key: expected[key] for key in expected if key not in floats
+        }
+        for key in floats:
+            if expected[key] is None:
+                assert check[key] is None, key
+            else:
+                assert math.isclose(check[key], expected[key], rel_tol=1e-9, abs_tol=1e-12), key
 
 
 @pytest.mark.parametrize("kind,model", PAIRS)

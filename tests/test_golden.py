@@ -40,39 +40,39 @@ CAMPAIGNS = {
 # id -> (sha256 of golden/<id>.report.json, sha256 of runs.csv)
 GOLDEN = {
     "ewfs-unitary-qm": (
-        "882cc111b98c12def8fe0c528c8fd4d95c7722dc27d1c91cc7a40f1adb4cf8ce",
+        "41fa1fd7c640ddab9f11a91f60dc5d6bf921faaf467a83bbbd43378da2afbdd1",
         "a5ee745dace64cf157c39186cf84f397168de81d31af93f50558f2bc92b73883",
     ),
     "ewfs-collapse": (
-        "1d3b1d32c1d8ca1de8b30eec355b1fcacccdd9ba8b60a16f3d711df859f190b3",
+        "3fb683159cd1c0b994ec83c30b011bb74f7985c5891475d217d9514d54823516",
         "696e1e29cfeb7299d8e60a29de6d93a2ab76c309069a0fd49745199916cca65e",
     ),
     "ewfs-toy-theta": (
-        "311dcbe1e9ad9081b38352fc687276199f25227012714b13326b603c60edca71",
+        "a2e1378277bf909edee9860fd19ed17a68d9596afcb554aeebd64db81ee6ab35",
         "d66e7656ffb24c9fd73cb62e47909f93511138168c8de8a8387bc3c327226cd2",
     ),
     "ewfs-lhv": (
-        "d3c166960b8fd79aee1d7388a1ca661609a680ecf399758f33833872336d74e1",
+        "fb808ec24f9ae7f06c8d8b56509945d9e487c2fd7de7ef47c00353f0f5b91917",
         "b8aeea4d2c0032baa6270f309b3847bd331d8e2b980b12a6ad4dd98db5be1766",
     ),
     "bell-collapse": (
-        "1774146401908737908defecf34b329fd07e55c30f8535c750c076b8bebf3e42",
+        "77fc6797deb2faf6089f2a2f9fcabef9572430044342d18693d26ddb9fc77bc9",
         "de7e2e7f78a86b5bf5bcfdfe9732d4ebece259e1a988a89f0a75b2985ea852f0",
     ),
     "bell-toy-theta": (
-        "17709858270731128905af6e8e851615adf12a7b41a005f613f97e5005e10e8d",
+        "05c07fa7bf7eae017abc228df44885c71e31d8c652802f7738cb33f986f46add",
         "763f84102b920cc9f23a9f3e00a9e36b87b4272e464a288df3568d40af3da1e0",
     ),
     "bell-lhv": (
-        "dcc6ffc2642383a258508254e684cfab129f8696cc5ae2f896f41fadfdb5ceb4",
+        "5eb3900bf56dd97a7cfc9633daa8cd8c29a5ef90c98cc923140400ddd3341e52",
         "ba6b7688e6a93b8941ae2325a1d775deb235cf5e28df504a0e79f098323c6ec9",
     ),
     "ewfs-toy-theta-optimal": (
-        "65c481ea86f50c6394e373fd1a917f1a5ce728107cc1fccc10482f0b52138b8b",
+        "52bf858d74b9ca0b1bee6a0ea1ddfe57648b6c855f366cd1cfa58a8e38532ee1",
         "0e2ae5e28e7a5244ff28d067bcb1a02cdb827ef84cac9e51f8b38b05d516ca1f",
     ),
     "ewfs-lhv-skewed": (
-        "54fff364dd51624e36c998df4bb0fe52855841848530724abc13a75cf655f167",
+        "12839be25b063ba8c2c84f3d228999c58bf0f61ef136d36b08e75641d2e16a9b",
         "11bd559728365ad6bba3795aead97b25821dcf586aded1b42ebdf942bc6e0923",
     ),
 }

@@ -147,12 +147,14 @@ def test_run_campaign_writes_report_and_csv(tmp_path):
     result = run_campaign(config)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report == result.report
-    # schema 2 states each fact once: no k, S_max_SE, verdict or per-pair counts
+    # schema 3 states each fact once: no k, S_max_SE, verdict or per-pair
+    # counts, and the signaling test beside the certificate it gates
     assert set(report) == {
         "schema", "config_echo", "assumptions", "expectations", "S", "SE", "S_max",
-        "S_max_variant", "bound", "violated", "certificate",
+        "S_max_variant", "bound", "violated", "signaling", "certificate",
     }
-    assert report["schema"] == 2
+    assert report["schema"] == 3
+    assert set(report["signaling"]) == set(report["assumptions"]["nsd"])
     assert set(report["config_echo"]) == harness._CONFIG_KEYS
     assert report["config_echo"]["seed"] == 5
     assert report["config_echo"]["scenario"] == "ewfs"
@@ -946,7 +948,7 @@ def test_cli_compare_unknown_keys_exit_2(tmp_path, capsys, campaign, key):
         ["../escaped", "b"],
         ["a/b", "c"],
         ["a\\b", "c"],
-        ["", "c"],
+        ["", "lhv"],  # an empty label names the directory by the model, as no label does
         [".", "c"],
         ["..", "c"],
     ],
@@ -974,6 +976,29 @@ def test_cli_compare_writes_one_directory_per_campaign(tmp_path, capsys):
     assert main(["--compare", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     written = sorted(p.parent.name for p in (tmp_path / "out").glob("*/report.json"))
     assert written == ["again", "collapse", "lhv"]
+
+
+def test_cli_unlabelled_echoes_run_again_under_out(tmp_path, capsys):
+    # an echo holds "label": "", which names its directory by the model, as
+    # the campaign without a label did
+    campaigns = [
+        {"scenario": "ewfs", "model": "lhv", "trials": 500},
+        {"scenario": "bell", "model": "collapse", "trials": 500},
+    ]
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(campaigns))
+    assert main(["--compare", str(first), "--out", str(tmp_path / "A")]) == EXIT_OK
+    reports = sorted((tmp_path / "A").glob("*/report.json"))
+    assert [r.parent.name for r in reports] == ["collapse", "lhv"]
+    echoes = [json.loads(r.read_text())["config_echo"] for r in reports]
+    assert [echo["label"] for echo in echoes] == ["", ""]
+    again = tmp_path / "echoes.json"
+    again.write_text(json.dumps(echoes))
+    assert main(["--compare", str(again), "--out", str(tmp_path / "B")]) == EXIT_OK
+    for report in reports:
+        assert (tmp_path / "B" / report.parent.name / "report.json").read_bytes() == (
+            report.read_bytes()
+        )
 
 
 def test_cli_compare_checks_every_campaign_before_any_runs(tmp_path, capsys):
@@ -1314,8 +1339,8 @@ def _python(*args):
 
 _IMPORT_GRAPH = """
 import sys, ewfs.harness as h
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
-      'csv' in sys.modules, 'ewfs.qcore' in sys.modules)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'csv' in sys.modules,
+      'statistics' in sys.modules, 'ewfs.qcore' in sys.modules)
 def run(scenario, model, trials):
     config = h.config_from_dict({'scenario': scenario, 'model': model, 'trials': trials})
     return h.run_campaign(config)
@@ -1336,10 +1361,11 @@ def import_graph():
 
 
 def test_harness_import_leaves_scipy_stats_out(import_graph):
-    # No scipy module is loaded by the import; the first LP builds the HiGHS
+    # No scipy module is loaded by the import, and no statistics module: the
+    # G-tests' chi^2 tail is closed form.  The first LP builds the HiGHS
     # model, and the second campaign's LP reuses it.
     imported, campaigns, _ = import_graph
-    assert imported.startswith("[] False ")
+    assert imported.startswith("[] False False ")
     # both campaigns reach the LP (cause None or "chsh"), and one model serves them
     assert campaigns == (
         "[None, 'chsh'] CacheInfo(hits=1, misses=1, maxsize=None, currsize=1)"

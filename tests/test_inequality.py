@@ -9,22 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import chi2, chi2_contingency
 
 from conftest import analytic_expectations, analytic_quantum_S, singlet, synthetic_log
 from ewfs import assumptions, inequality
 from ewfs.inequality import (
     CHSH_BOUND,
     LP_TOL,
+    MIN_CELL,
+    CountTable,
     EmptyCell,
     PolytopeVerdict,
+    check_signaling,
     chsh_max_variant,
     chsh_values,
     decide,
     deterministic_strategy_tables,
     evaluate,
     expectations,
+    homogeneity,
     local_polytope_feasible,
-    signaling_measure,
     tabulate,
     verify_derivation_chain,
 )
@@ -266,7 +270,7 @@ _NON_FINITE_CALLS = [
     f"{call}(np.full({shape}, {value}))"
     for call, shape in (("local_polytope_feasible", "(2, 2, 2, 2)"), ("linprog", "16"))
     for value in ("np.nan", "np.inf", "-np.inf")
-] + [  # one infinite cell, which the signaling pre-check would take for signaling
+] + [  # one infinite cell among finite ones
     "p = np.full((2, 2, 2, 2), 0.25); p[0, 0, 0, 0] = np.inf; local_polytope_feasible(p)",
 ]
 
@@ -399,10 +403,19 @@ def test_mixtures_are_members(weights):
     assert verdict.cause is None
 
 
+def _table_of(probs, n):
+    """A count table of n trials per setting pair whose behavior is ``probs``
+    (multiples of 1/n), friend outcomes undefined."""
+    counts = np.zeros((2, 2, 2, 2, 3, 3, 1), dtype=np.int64)
+    counts[:, :, :, :, 2, 2, 0] = np.rint(probs * n)
+    return CountTable(counts)
+
+
 def test_pr_box_is_rejected_via_chsh():
     probs = _pr_box([[1, 1], [1, -1]])
     assert _table_s_max(probs) == pytest.approx(4.0)
-    assert signaling_measure(probs) < 1e-12
+    signaling = check_signaling(_table_of(probs, 1_000))
+    assert signaling.passed is True and signaling.g == 0.0  # the same marginals
     verdict = local_polytope_feasible(probs)
     assert not verdict.member
     assert verdict.cause == "chsh"
@@ -412,11 +425,71 @@ def test_pr_box_is_rejected_via_chsh():
 def test_signaling_table_is_rejected_early():
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 0] = [[0.5, 0.0], [0.25, 0.25]]  # Alice marginal depends on y
-    assert signaling_measure(probs) > 0.1
-    verdict = local_polytope_feasible(probs)
-    assert not verdict.member
-    assert verdict.cause == "signaling"
-    assert verdict.residual is None  # the LP did not run
+    report = evaluate(_table_of(probs, 1_000))
+    assert report.signaling.passed is False and report.signaling.df == 1
+    for verdict in (report.polytope, local_polytope_feasible(probs, signals=True)):
+        assert not verdict.member
+        assert verdict.cause == "signaling"
+        assert verdict.residual is None  # the LP did not run
+    # without the test's verdict the LP decides, and the table is no member
+    assert local_polytope_feasible(probs).cause == "chsh"
+
+
+def _reference_g(table):
+    """(G, df, -log10 p, p) of one (group, outcome) table through scipy, with
+    its empty rows and columns dropped; (0, 0, 0, 1) with one of either left."""
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    if min(table.shape) < 2:
+        return 0.0, 0, 0.0, 1.0
+    g, p, dof, _ = chi2_contingency(table, correction=False, lambda_="log-likelihood")
+    return g, dof, -chi2.logsf(g, dof) / math.log(10), p
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 17)),
+    scale=st.sampled_from([3, 30, 3_000, 10**6]),
+)
+def test_homogeneity_matches_scipy_chi2_contingency(seed, shape, scale):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, scale, size=shape)
+    counts[rng.random(shape) < rng.random()] = 0  # empty cells, rows and columns
+    if rng.random() < 0.3:  # an outcome that depends on the group
+        counts[:, 0, 0] += scale * 10
+    g, df, log_p = homogeneity(counts)
+    assert len(g) == len(df) == len(log_p) == shape[0]
+    assert homogeneity(counts.tolist()) == (g, df, log_p)  # nested lists, the same
+    for stratum, got in zip(counts, zip(g, df, log_p)):
+        want = _reference_g(stratum)
+        assert got[1] == want[1]
+        assert math.isclose(got[0], want[0], rel_tol=1e-9, abs_tol=1e-9)
+        if math.isinf(want[2]):  # scipy's log tail underflows from G ~ 1,400
+            assert 300 < got[2] < math.inf
+        else:
+            assert math.isclose(got[2], want[2], rel_tol=1e-9, abs_tol=1e-12)
+        if want[3] > 1e-300:  # p itself, while it is a normal float
+            assert math.isclose(10 ** -got[2], want[3], rel_tol=1e-9)
+    # G is an exactly rounded sum: reordering groups and outcomes, and empty
+    # ones, change no bit
+    perm = counts[:, rng.permutation(shape[1])][:, :, rng.permutation(shape[2])]
+    padded = np.concatenate([perm, np.zeros((shape[0], 2, shape[2]), int)], axis=1)
+    padded = np.concatenate([padded, np.zeros((shape[0], shape[1] + 2, 3), int)], axis=2)
+    assert homogeneity(perm) == homogeneity(padded) == (g, df, log_p)
+
+
+def test_homogeneity_p_value_stays_finite_far_below_the_smallest_float():
+    # 1.2 10^6 trials, each group with an outcome of its own: p ~ 10^-300,000,
+    # far below what a float holds, and -log10 p is still -log10 of the chi^2
+    # tail, at an odd and an even df
+    for groups in (2, 3, 4):
+        counts = np.diag(np.full(groups, 1_200_000 // groups))[None]
+        g, df, log_p = homogeneity(counts)
+        assert g[0] == pytest.approx(2 * 1_200_000 * math.log(groups))
+        assert df[0] == (groups - 1) ** 2
+        # the tail's leading term: e^-h h^(df/2 - 1) / Gamma(df/2), h = G/2
+        h = g[0] / 2
+        lead = -h + (df[0] / 2 - 1) * math.log(h) - math.lgamma(df[0] / 2)
+        assert log_p[0] == pytest.approx(-lead / math.log(10), rel=1e-9)
 
 
 def test_membership_matches_facets_on_random_no_signaling_boxes():
@@ -598,7 +671,14 @@ def test_inequality_verdicts_match_their_written_out_rules(kind, model, options,
         cert = report.polytope
         tol = LP_TOL + k * 0.5 / math.sqrt(int(table.n().min()))
         assert cert.tolerance == tol
-        signaling = signaling_measure(table.probs()) > tol
+        # four G-tests, P(a | x, y) across y and P(b | x, y) across x, at
+        # Sidak's level over the conclusive ones
+        behavior = table.behavior()
+        strata = [*behavior.sum(axis=3), *behavior.sum(axis=2).transpose(1, 0, 2)]
+        tests = [_reference_g(s) for s in strata if (s.sum(axis=1) >= MIN_CELL).all()]
+        level = 1 - (1 - math.erfc(k / math.sqrt(2))) ** (1 / len(tests))
+        signaling = max(t[2] for t in tests) > -math.log10(level)
+        assert report.signaling.passed is (not signaling)
         assert (cert.cause == "signaling") == signaling
         if not signaling:
             assert cert.member == (cert.residual <= tol)

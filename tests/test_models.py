@@ -1,5 +1,4 @@
 import csv
-import itertools
 import math
 import re
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
-from conftest import analytic_expectations, singlet, spin_projectors
+from conftest import analytic_expectations, exact_law, sample_tables, singlet, spin_projectors
 from test_golden import SKEWED_WEIGHTS
 from ewfs import inequality, models, qcore, scenario
 from ewfs.harness import CampaignConfig, run_campaign
@@ -19,7 +18,6 @@ from ewfs.models import (
     MODEL_TOY,
     MODEL_UNITARY_QM,
     MODELS,
-    LAMBDA_BINS,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
     RunLog,
@@ -697,81 +695,11 @@ def test_lhv_friends_match_setting_one_strategy_values():
 
 
 # --- exact laws ------------------------------------------------------------
-# Each law is built from the model's physics over the count table's cells
-# (x, y, a, b, c, d, lambda-bin), with uniform settings; a campaign's counts
-# are G-tested against it at one fixed seed and level.
+# A campaign's counts are G-tested against the model's exact law at one
+# fixed seed and level.
 
 _G_SEED = 17
 _G_LEVEL = 1e-6  # familywise, Bonferroni over the cases
-_BLANK = 2  # the C/D index of an undefined friend outcome
-
-
-def _index(value):
-    """A +/-1 outcome's axis index: +1 -> 0, -1 -> 1."""
-    return (1 - value) // 2
-
-
-def _lhv_law(kind, weights):
-    """w_s/4 on the one cell strategy s fixes at (x, y), in lambda bin s; the
-    friends report the setting-1 values in the EWFS."""
-    law = np.zeros((2, 2, 2, 2, 3, 3, LAMBDA_BINS))
-    for s, (a1, a2, b1, b2) in enumerate(lhv_strategies().tolist()):
-        c, d = (_index(a1), _index(b1)) if kind == BRUKNER_EWFS else (_BLANK, _BLANK)
-        for (x, a), (y, b) in itertools.product(enumerate((a1, a2)), enumerate((b1, b2))):
-            law[x, y, _index(a), _index(b), c, d, s] += weights[s] / 4
-    return law
-
-
-def _collapse_law(spec):
-    """EWFS: C a fair coin, D = -C, A = C at x = 1 and B = D at y = 1, fair
-    coins otherwise.  Bell: the singlet, (1 - ab cos(alpha - beta)) / 4."""
-    law = np.zeros((2, 2, 2, 2, 3, 3, 1))
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        if spec.kind == BRUKNER_EWFS:
-            for c in (0, 1):
-                p_a = (a == c) if x == 0 else 0.5
-                p_b = (b == 1 - c) if y == 0 else 0.5
-                law[x, y, a, b, c, 1 - c, 0] = p_a * p_b / 8
-        else:
-            cos = math.cos(spec.alice_settings[x] - spec.bob_settings[y])
-            law[x, y, a, b, _BLANK, _BLANK, 0] = (1 - (1 - 2 * a) * (1 - 2 * b) * cos) / 16
-    return law
-
-
-def _unitary_qm_law(spec):
-    """(A, B) from the Born table of the lab pair on Brukner's state in the
-    lab bases of (x, y); C = A at x = 1 and D = B at y = 1, blank otherwise."""
-    lab_state = qcore.lab_pair_state(qcore.brukner_state())
-    law = np.zeros((2, 2, 2, 2, 3, 3, 1))
-    for (x, kind_a), (y, kind_b) in itertools.product(
-        enumerate(spec.alice_settings), enumerate(spec.bob_settings)
-    ):
-        born = qcore.lab_joint_probabilities(lab_state, kind_a, kind_b)
-        for a, b in itertools.product((0, 1), repeat=2):
-            c, d = a if x == 0 else _BLANK, b if y == 0 else _BLANK
-            law[x, y, a, b, c, d, 0] = born[a, b] / 4
-    return law
-
-
-def _toy_law(kind, options):
-    """Hidden angles uniform on [0, pi), binned 4 q1 + q2 by quarter; an
-    angle's outcome is +1 with the mean of cos^2 over its quarter,
-    1/2 + (sin 2 theta_hi - sin 2 theta_lo) / pi.  Bell: A and B are the
-    angle outcomes, C and D blank.  EWFS: C and D are, and (A, B) follows
-    the singlet at the configured angles, (1 - ab cos(alpha - beta)) / 4."""
-    # sin 2 theta at the quarter edges theta = q pi / 4, q = 0..4
-    p_plus = 0.5 + np.diff(np.sin(np.arange(5) * math.pi / 2)) / math.pi
-    p_angle = np.stack([p_plus, 1 - p_plus], axis=1)  # P(outcome | quarter)
-    # P(o1, o2, bin 4 q1 + q2) of the two angle outcomes and their bins
-    angles = np.einsum("ik,jl->klij", p_angle, p_angle).reshape(2, 2, LAMBDA_BINS) / 16
-    law = np.zeros((2, 2, 2, 2, 3, 3, LAMBDA_BINS))
-    if kind == STANDARD_BELL:
-        law[:, :, :, :, _BLANK, _BLANK] = angles / 4
-        return law
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        cos = math.cos(options.alice_angles[x] - options.bob_angles[y])
-        law[x, y, a, b, :2, :2] = angles * (1 - (1 - 2 * a) * (1 - 2 * b) * cos) / 16
-    return law
 
 
 # Negative angles whose cos(alpha - beta) table differs from TOY_OPTIMAL_CHSH's.
@@ -781,20 +709,20 @@ _TOY_NEGATIVE = ToyOptions(
 
 _G_CASES = [
     *(
-        (kind, MODEL_LHV, options, 200_000, _lhv_law(kind, options.weights))
+        (kind, MODEL_LHV, options, 200_000, exact_law(kind, MODEL_LHV, options))
         for options in (LhvOptions(), SKEWED_WEIGHTS)
         for kind in (STANDARD_BELL, BRUKNER_EWFS)
     ),
     *(
-        (kind, MODEL_COLLAPSE, None, 1_000_000, _collapse_law(default_scenario(kind, 1)))
+        (kind, MODEL_COLLAPSE, None, 1_000_000, exact_law(kind, MODEL_COLLAPSE))
         for kind in (STANDARD_BELL, BRUKNER_EWFS)
     ),
     (
         BRUKNER_EWFS, MODEL_UNITARY_QM, None, 1_000_000,
-        _unitary_qm_law(default_scenario(BRUKNER_EWFS, 1)),
+        exact_law(BRUKNER_EWFS, MODEL_UNITARY_QM),
     ),
     *(
-        (kind, MODEL_TOY, options, 1_000_000, _toy_law(kind, options or ToyOptions()))
+        (kind, MODEL_TOY, options, 1_000_000, exact_law(kind, MODEL_TOY, options))
         for kind, options in (
             (STANDARD_BELL, None),
             (BRUKNER_EWFS, None),
@@ -821,6 +749,23 @@ def test_counts_fit_the_exact_law(kind, model, options, trials, law):
     g = 2 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
     p = chi2.sf(g, df=observed.size - 1)
     assert p * len(_G_CASES) >= _G_LEVEL, (g, p)
+
+
+def test_sample_tables_average_to_n_times_the_law():
+    # 10^4 tables of 2,000 trials, drawn 1,000 at a time; each cell's mean
+    # within 5 standard errors (familywise 4e-5 over the law's 64 nonzero
+    # cells)
+    law = exact_law(BRUKNER_EWFS, MODEL_LHV)
+    n, size, rng = 2_000, 10_000, np.random.default_rng(_G_SEED)
+    total = np.zeros(law.shape, dtype=np.int64)
+    for _ in range(size // 1_000):
+        tables = sample_tables(law, n, 1_000, rng)
+        assert tables.shape == (1_000, *law.shape)
+        assert (tables.sum(axis=tuple(range(1, tables.ndim))) == n).all()
+        total += tables.sum(axis=0)
+    assert not total[law == 0].any()
+    z = (total / size - n * law)[law > 0] / np.sqrt(n * law * (1 - law) / size)[law > 0]
+    assert np.abs(z).max() < 5
 
 
 # --- log plumbing ----------------------------------------------------------
