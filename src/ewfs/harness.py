@@ -62,7 +62,7 @@ CSV_HEADER = ["trial", "X", "Y", "A", "B", "C", "D", "lambda_tag"]
 # writer's transient memory: with its NUL mask and its written bytes, about
 # 1.8 MB at 4,096 toy-theta rows.
 CSV_BLOCK = 4_096
-# "X,Y,A,B,C,D," per inequality.cell_key, undefined C/D blank: no field
+# "X,Y,A,B,C,D," per cell key (models.cell), undefined C/D blank: no field
 # needs quotes.
 _CELL_TEXT = [
     f"{x},{y},{a},{b},{c},{d},".encode()
@@ -368,7 +368,7 @@ def _separators(names: tuple[str, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
     return cells, [np.array([end]) for end in [b";" + tag for tag in tags[1:]] + [b"\r\n"]]
 
 
-def _block(log: RunLog, lo: int, hi: int, key: np.ndarray, cells, ends) -> np.ndarray:
+def _block(log: RunLog, lo: int, hi: int, cells, ends) -> np.ndarray:
     """Rows ``lo:hi`` of ``log`` as one (rows, width) uint8 array, their
     fields side by side.  A block's integer columns are formatted in one
     call, and so are its float columns."""
@@ -378,7 +378,7 @@ def _block(log: RunLog, lo: int, hi: int, key: np.ndarray, cells, ends) -> np.nd
     floats = [column for column in columns if column.dtype.kind == "f"]
     texts = {False: iter(_texts(ints, _int_text))}
     texts[True] = iter(_texts(floats, _float_text) if floats else ())
-    fields = [next(texts[False]), cells[key[lo:hi]]]
+    fields = [next(texts[False]), cells[log.key[lo:hi]]]
     for column, end in zip(columns, ends):
         fields += [next(texts[column.dtype.kind == "f"]), end]
     fields = [_void(field) for field in fields]
@@ -395,10 +395,9 @@ def _write_rows(handle, log: RunLog) -> None:
     CRLF-terminated: the trial, the cell text, then ``name=value`` for each
     lambda column in key order, joined by ';', integers as %d and floats as
     %.17g.  Each block of rows is written without its NULs, in one call."""
-    key = inequality.cell_key(log)  # unchecked: run_campaign has tabulated the log
     cells, ends = _separators(tuple(sorted(log.lam)))
     for lo in range(0, len(log), CSV_BLOCK):
-        block = _block(log, lo, min(lo + CSV_BLOCK, len(log)), key, cells, ends)
+        block = _block(log, lo, min(lo + CSV_BLOCK, len(log)), cells, ends)
         handle.write(block[block != 0])  # a buffer: no copy into bytes
 
 

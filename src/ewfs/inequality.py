@@ -13,9 +13,10 @@ right-hand side, the behavior, and starts from no basis.
 
 Every statistic here, and every assumption check, reads one ``CountTable``:
 the counts N(x, y, a, b, c, d, lambda-bin) that ``tabulate`` builds from a
-run log in a single pass over each trial's ``cell_key``.  Its setting-pair
-totals come from ``CountTable.n``, which raises ``EmptyCell`` on an empty
-pair through ``pair_totals``.  ``evaluate`` computes the (2, 2) correlator
+run log in a single pass over the cell key (``models.cell``) that its
+sampler gave each trial.  Its setting-pair totals come from
+``CountTable.n``, which raises ``EmptyCell`` on an empty pair through
+``pair_totals``.  ``evaluate`` computes the (2, 2) correlator
 and SE arrays and the 8 facet values once each, and its ``InequalityReport``
 carries them.  Every verdict, here and in ``assumptions``, is ``decide``:
 fail iff a conclusive statistic exceeds its threshold.  Each test of
@@ -56,7 +57,6 @@ __all__ = [
     "IdentityCheck",
     "DerivationChainReport",
     "InequalityReport",
-    "cell_key",
     "tabulate",
     "expectations",
     "chsh_values",
@@ -82,18 +82,14 @@ def pair_totals(n: np.ndarray) -> np.ndarray:
 
 
 def decide(stat, threshold, conclusive=True) -> bool | None:
-    """The one verdict rule: False iff a conclusive entry of ``stat`` exceeds
-    its ``threshold``, None when no entry is conclusive, True otherwise.  A
-    tie passes; a NaN in a conclusive entry raises ValueError.  Scalars
-    compare in Python; arrays of cells broadcast."""
-    exceeds, nan = stat > threshold, (stat != stat) | (threshold != threshold)
-    if isinstance(exceeds, np.ndarray) or isinstance(conclusive, np.ndarray):
-        conclusive = np.asarray(conclusive)
-        exceeds, nan = (exceeds & conclusive).any(), (nan & conclusive).any()
-        conclusive = conclusive.any()
-    if nan and conclusive:
+    """The one verdict rule: False iff a conclusive ``stat`` exceeds its
+    ``threshold``, None when it is not conclusive, True otherwise.  A tie
+    passes; a NaN in a conclusive verdict raises ValueError."""
+    if not conclusive:
+        return None
+    if stat != stat or threshold != threshold:
         raise ValueError("NaN statistic or threshold in a conclusive verdict")
-    return not exceeds if conclusive else None
+    return not stat > threshold
 
 
 def _chi2_log_sf(g: float, df: int) -> float:
@@ -219,49 +215,20 @@ class CountTable:
         return int(self.cells[:, :, :, :, :2, :2].sum()) == self.total()
 
 
-def _check_log(log: RunLog) -> None:
-    """``tabulate``'s range checks of the settings and the outcomes."""
-    for setting in (log.x, log.y):
-        if setting.size and (setting.min() < 1 or setting.max() > 2):
-            raise ValueError("setting indices outside the two-setting scenario")
-    for column, defined in ((log.a, True), (log.b, True), (log.c, False), (log.d, False)):
-        if column.size and (
-            column.min() < -1 or column.max() > 1 or (defined and not column.all())
-        ):
-            raise ValueError("outcomes outside +-1 (A, B) or +-1, 0 (C, D)")
-
-
-def cell_key(log: RunLog) -> np.ndarray:
-    """Index 0..143 of each trial's (x, y, a, b, c, d) cell, int16, in the
-    row-major order of the first six ``CountTable`` axes, of a log that
-    ``tabulate`` accepts, unchecked.  +1, -1, UNDEFINED -> axis index 0, 1, 2."""
-    key = log.x.astype(np.int16)
-    key *= 2
-    key += log.y - 3
-    for column in (log.a, log.b):
-        key *= 2
-        key += column < 0
-    for column in (log.c, log.d):
-        key *= 3
-        key += column < 0
-        key += (column == 0).view(np.int8) << 1
-    return key
-
-
 def tabulate(log: RunLog) -> CountTable:
     """Count a run log into N(x, y, a, b, c, d, lambda-bin) with one
-    ``np.bincount`` over ``cell_key`` refined by the lambda bin, after the
-    one check of a log: ValueError on a setting, outcome or bin outside its values."""
-    _check_log(log)
-    key = cell_key(log)
+    ``np.bincount`` over its cell keys refined by the lambda bin, after the
+    one check of a log: ValueError on a key or a bin outside its values."""
+    key = log.key
+    if key.size and (key.min() < 0 or key.max() >= 144):
+        raise ValueError("cell keys outside 0..143")
     binner = MODELS[log.model].binner if log.model in MODELS else None
     n_bins = 1 if binner is None else LAMBDA_BINS
     if binner is not None:
         bins = binner(log)
-        if len(log) and (bins.min() < 0 or bins.max() >= LAMBDA_BINS):
+        if key.size and (bins.min() < 0 or bins.max() >= LAMBDA_BINS):
             raise ValueError(f"lambda bins outside 0..{LAMBDA_BINS - 1}")
-        key *= n_bins
-        key += bins
+        key = key.astype(np.int16) * n_bins + bins
     counts = np.bincount(key, minlength=144 * n_bins)
     return CountTable(counts.reshape(2, 2, 2, 2, 3, 3, n_bins))
 

@@ -25,6 +25,7 @@ Every trial's randomness comes from a fixed window of the keyed stream
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -60,6 +61,7 @@ __all__ = [
     "UNDEFINED",
     "UnsupportedScenario",
     "RunLog",
+    "cell",
     "ToyOptions",
     "TOY_OPTIMAL_CHSH",
     "LhvOptions",
@@ -79,27 +81,67 @@ class UnsupportedScenario(ValueError):
     """The model cannot run under the requested scenario kind."""
 
 
+def cell(p, a, b, c=UNDEFINED, d=UNDEFINED):
+    """Index 0..143 of the (x, y, a, b, c, d) cell of setting pair
+    p = 2(x - 1) + (y - 1), in the row-major order of the first six
+    ``inequality.CountTable`` axes: +1, -1, UNDEFINED -> axis index 0, 1, 2.
+    Python ints and integer arrays alike."""
+    index = lambda v: (1 - v) // 2 + 2 * (v == UNDEFINED)
+    return (((p * 2 + index(a)) * 2 + index(b)) * 3 + index(c)) * 3 + index(d)
+
+
+# _OUTCOMES[:, key]: the (a, b, c, d) of each cell key, int8
+_OUTCOMES = np.zeros((4, 144), np.int8)
+for _cell in itertools.product(range(4), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0)):
+    _OUTCOMES[:, cell(*_cell)] = _cell[1:]
+_OUTCOMES.setflags(write=False)
+
+
+def _decoded(row: int) -> property:
+    """_OUTCOMES[row] per trial: a new read-only int8 array, gathered with no intp key copy."""
+    def column(log: RunLog) -> np.ndarray:
+        values = _OUTCOMES[row][log.key]
+        values.flags.writeable = False
+        return values
+    return property(column)
+
+
 @dataclass
 class RunLog:
     """Per-trial arrays of one (scenario, model) campaign block.
 
-    Row i is trial ``first_trial + i``.  ``c``/``d`` use 0 for undefined;
-    ``lam`` holds model-specific payload columns (hidden angles, strategy
-    ids) aligned with trials.
+    Row i is trial ``first_trial + i``.  ``key`` is its ``cell`` index,
+    uint8, from which ``a`` .. ``d`` (0 for an undefined C/D) are decoded
+    on each access; ``lam`` holds model-specific payload columns (hidden
+    angles, strategy ids) aligned with trials.
     """
 
     model: str
     x: np.ndarray
     y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
+    key: np.ndarray
     lam: dict[str, np.ndarray]
     first_trial: int = 0
 
+    a, b, c, d = map(_decoded, range(4))
+
     def __len__(self) -> int:
         return self.x.size
+
+    @classmethod
+    def from_columns(cls, model, x, y, a, b, c, d, lam, first_trial=0) -> RunLog:
+        """A log of per-trial outcome columns, keyed by ``cell``: ValueError
+        on a setting outside {1, 2}, an A or B outside +-1, or a C or D
+        outside +-1 and UNDEFINED."""
+        x, y, a, b, c, d = map(np.asarray, (x, y, a, b, c, d))
+        if not (np.isin(x, (1, 2)).all() and np.isin(y, (1, 2)).all()):
+            raise ValueError("setting indices outside the two-setting scenario")
+        allowed = [(a, (1, -1)), (b, (1, -1)), (c, (1, -1, 0)), (d, (1, -1, 0))]
+        if not all(np.isin(column, values).all() for column, values in allowed):
+            raise ValueError("outcomes outside +-1 (A, B) or +-1, 0 (C, D)")
+        x, y = x.astype(np.int8), y.astype(np.int8)
+        key = np.asarray(cell(2 * x + y - 3, a, b, c, d), np.uint8)
+        return cls(model, x, y, key, lam, first_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -213,72 +255,94 @@ def _sample_discrete(weights, u: np.ndarray) -> np.ndarray:
     goes to the last nonzero weight, not to a zero-weight tail.
 
     The index is searchsorted(cum, u, "right"), the count of cum entries
-    <= u, found by a branch-free binary search: cum never decreases, so a
-    step adds ``step`` exactly when cum[idx + step - 1] <= u.  The four
-    steps stop at 15, which the clip to the last nonzero weight covers."""
-    cum = np.cumsum(weights)
+    <= u, clipped to the index L of the last nonzero weight: cum never
+    decreases, so that is the count among the first L entries, one
+    comparison pass each."""
     idx = np.zeros(u.size, dtype=np.int8)
-    for step in (8, 4, 2, 1):
-        idx += step * (cum[idx + (step - 1)] <= u).view(np.int8)
-    return np.minimum(idx, np.flatnonzero(weights)[-1], out=idx)
+    for edge in np.cumsum(weights)[:np.flatnonzero(weights)[-1]].tolist():
+        idx += u >= edge
+    return idx
 
 
-def _signs(plus: np.ndarray) -> np.ndarray:
-    """+1 where ``plus`` holds, else -1, as int8."""
-    return 2 * plus.view(np.int8) - 1
-
-
-def _bit_signs(value: np.ndarray, bit) -> np.ndarray:
-    """+1 where the given bit of the int8 ``value`` is 0, else -1, as int8."""
-    return 1 - 2 * ((value >> bit) & 1)
-
-
-def _joint_outcomes(tables: np.ndarray, xs, ys, u) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (A, B) in {+1,-1} per trial from the 2x2 probability table
-    ``tables[p]`` of its setting pair p = 2(x - 1) + (y - 1).  The outcome
-    index 2[A=-1] + [B=-1] is sum_j [cum_j <= u] over the first three
+def _joint_index(tables: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample (A, B) per trial from the 2x2 probability table ``tables[p]``
+    of its setting pair p, as 4p + j, int8, with outcome index
+    j = 2[A=-1] + [B=-1].  j is sum_k [cum_k <= u] over the first three
     entries of the table's cumsum: searchsorted(cum, u, "right") clipped to
-    3, because a cumsum of nonnegative entries never decreases.  Row j of
-    ``cum`` holds entry j of every pair's cumsum, so each threshold is one
+    3, because a cumsum of nonnegative entries never decreases.  Row k of
+    ``cum`` holds entry k of every pair's cumsum, so each threshold is one
     1-D gather."""
     cum = np.cumsum(tables.reshape(4, 4), axis=1).T
-    p = (2 * xs + ys - 3).astype(np.intp)
-    idx = (cum[0].take(p) <= u).view(np.int8)
-    idx += cum[1].take(p) <= u
-    idx += cum[2].take(p) <= u
-    return _bit_signs(idx, 1), _bit_signs(idx, 0)
+    pair = p.astype(np.intp)
+    j = (cum[0].take(pair) <= u).view(np.int8)
+    j += cum[1].take(pair) <= u
+    j += cum[2].take(pair) <= u
+    j += 4 * p
+    return j
+
+
+def _bit(j: int, k: int) -> int:
+    """-1 where bit k of j is set, else +1."""
+    return 1 - 2 * (j >> k & 1)
+
+
+def _key_table(n: int, outcomes: Callable) -> np.ndarray:
+    """A sampler's read-only uint8 table of cell keys: entry n p + j is
+    ``cell(p, *outcomes(x, y, j))`` for setting pair p = 2(x - 1) + (y - 1)
+    and the sampler's outcome bits j < n."""
+    table = np.array([
+        cell(2 * x + y - 3, *outcomes(x, y, j)) for x in (1, 2) for y in (1, 2) for j in range(n)
+    ], np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+# The samplers' key tables.  The bits of a joint outcome index and of an lhv
+# strategy are set for -1, a coin's for +1.
+# unitary-qm: friend outcomes only on the opened branch, where 2 - x is 1
+# (setting 1), else 0 = UNDEFINED.
+_UNITARY_KEYS = _key_table(
+    4, lambda x, y, j: (_bit(j, 1), _bit(j, 0), (2 - x) * _bit(j, 1), (2 - y) * _bit(j, 0))
+)
+# collapse, EWFS: coins C (bit 2), A (bit 1), B (bit 0); D = -C, and a
+# superobserver reads the friend's record at setting 1.
+_COLLAPSE_KEYS = _key_table(
+    8, lambda x, y, j: (-_bit(j, 2 if x == 1 else 1), _bit(j, 2) if y == 1 else -_bit(j, 0),
+                        -_bit(j, 2), _bit(j, 2))
+)
+# Bell collapse and toy-theta: coins A (bit 1) and B (bit 0)
+_BELL_KEYS = _key_table(4, lambda x, y, j: (-_bit(j, 1), -_bit(j, 0)))
+# toy-theta, EWFS: the joint index in bits 3-2, friend coins C, D in bits 1-0
+_TOY_KEYS = _key_table(16, lambda x, y, j: (_bit(j, 3), _bit(j, 2), -_bit(j, 1), -_bit(j, 0)))
+# lhv: (A1, A2, B1, B2) in bits 3, 2, 1, 0, as in lhv_strategies; EWFS
+# friends report the setting-1 values, so A = C at x = 1 by construction.
+_LHV_BELL_KEYS = _key_table(16, lambda x, y, s: (_bit(s, 4 - x), _bit(s, 2 - y)))
+_LHV_KEYS = _key_table(16, lambda x, y, s: (_bit(s, 4 - x), _bit(s, 2 - y), _bit(s, 3), _bit(s, 1)))
 
 
 # ---------------------------------------------------------------------------
-# batch samplers: (spec, xs, ys, u, options) -> (a, b, c, d, lam), where trial
-# i is a pure function of row u[i] and c/d are None when the model assigns
-# no friend outcome
+# batch samplers: (spec, p, u, options) -> (key, lam) for int8 setting pairs
+# p, where trial i is a pure function of row u[i]; its key is one gather
 
 
-def _sample_unitary_qm(spec, xs, ys, u, options):
-    a, b = _joint_outcomes(ewfs_outcome_tables(spec), xs, ys, u[:, 0])
-    # 2 - x is 1 on the opened branch (setting 1), else 0 = UNDEFINED
-    return a, b, (2 - xs) * a, (2 - ys) * b, {}
+def _sample_unitary_qm(spec, p, u, options):
+    return _UNITARY_KEYS.take(_joint_index(ewfs_outcome_tables(spec), p, u[:, 0])), {}
 
 
-def _sample_collapse(spec, xs, ys, u, options):
+def _sample_collapse(spec, p, u, options):
     if spec.kind == BRUKNER_EWFS:
         # Friends' z measurements collapse the singlet: C is a Born coin,
         # D is fixed by the perfect anticorrelation of the collapsed state.
-        c = _signs(u[:, 0] < 0.5)
-        d = -c
-        a = np.where(xs == 1, c, _signs(u[:, 1] < 0.5))
-        b = np.where(ys == 1, d, _signs(u[:, 2] < 0.5))
-        return a, b, c, d, {}
+        coins = (u < 0.5).view(np.int8)
+        return _COLLAPSE_KEYS.take(8 * p + 4 * coins[:, 0] + 2 * coins[:, 1] + coins[:, 2]), {}
     # Standard Bell: Alice's spin measurement collapses nonlocally, Bob
     # measures the collapsed branch: P(A=+) = 1/2 and
     # P(B=+ | A=+/-) = (1 -/+ cos(angle_a - angle_b)) / 2, looked up at
     # 2p + [A=+] for setting pair p.
     cos = np.array([math.cos(a - b) for a in spec.alice_settings for b in spec.bob_settings])
     p_b_plus = np.stack([(1 + cos) / 2, (1 - cos) / 2], axis=1).ravel()
-    a_plus = u[:, 0] < 0.5
-    b = _signs(u[:, 1] < p_b_plus[2 * (2 * xs + ys - 3) + a_plus])
-    return _signs(a_plus), b, None, None, {}
+    j = 2 * p + (u[:, 0] < 0.5)
+    return _BELL_KEYS.take(2 * j + (u[:, 1] < p_b_plus[j])), {}
 
 
 # float32 np.cos screens the friend coins: |float32 cos^2 - float64 cos^2|
@@ -297,7 +361,7 @@ def _below_cos2(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return plus
 
 
-def _sample_toy(spec, xs, ys, u, opts):
+def _sample_toy(spec, p, u, opts):
     theta1 = u[:, 0] * math.pi
     theta2 = u[:, 1] * math.pi
     plus1 = _below_cos2(u[:, 2], theta1)  # float64 np.cos's coins, screened in float32
@@ -309,7 +373,7 @@ def _sample_toy(spec, xs, ys, u, opts):
         "theta1_post": post[plus1.view(np.int8)],
         "theta2_post": post[plus2.view(np.int8)],
     }
-    out1, out2 = _signs(plus1), _signs(plus2)
+    coins = 2 * plus1.view(np.int8) + plus2
     if spec.kind == BRUKNER_EWFS:
         # Friends draw C, D from the hidden angles (uncorrelated wings);
         # superobserver outcomes mimic collapse-model quantum correlations
@@ -317,24 +381,16 @@ def _sample_toy(spec, xs, ys, u, opts):
         tables = np.array([
             singlet_joint_probs(a, b) for a in opts.alice_angles for b in opts.bob_angles
         ])
-        a, b = _joint_outcomes(tables, xs, ys, u[:, 4])
-        return a, b, out1, out2, lam
+        return _TOY_KEYS.take(4 * _joint_index(tables, p, u[:, 4]) + coins), lam
     # Standard Bell: the parties measure the particles directly, so outcomes
     # are governed by the hidden angles alone, ignoring measurement angles.
-    return out1, out2, None, None, lam
+    return _BELL_KEYS.take(4 * p + coins), lam
 
 
-def _sample_lhv(spec, xs, ys, u, opts):
-    # Strategy s holds (A1, A2, B1, B2) in bits 3, 2, 1, 0, as in lhv_strategies.
+def _sample_lhv(spec, p, u, opts):
     s = _sample_discrete(opts.weights, u[:, 0])
-    a = _bit_signs(s, 4 - xs)
-    b = _bit_signs(s, 2 - ys)
-    lam = {"strategy": s.astype(np.int16)}
-    if spec.kind == BRUKNER_EWFS:
-        # Friends report the setting-1 values of the strategy table, so
-        # superobserver/friend consistency holds by construction.
-        return a, b, _bit_signs(s, 3), _bit_signs(s, 1), lam
-    return a, b, None, None, lam
+    keys = _LHV_KEYS if spec.kind == BRUKNER_EWFS else _LHV_BELL_KEYS
+    return keys.take(16 * p + s), {"strategy": s.astype(np.int16)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +482,13 @@ def run_trials(
     for lo in range(0, max(n_trials, 1), CHUNK):  # an empty block is one empty piece
         hi = min(lo + CHUNK, n_trials)
         u = uniform_block(seed, f"model:{model}", hi - lo, entry.draws, first_trial + lo)
-        a, b, c, d, lam = entry.sample(spec, xs[lo:hi], ys[lo:hi], u, options)
+        key, lam = entry.sample(spec, 2 * xs[lo:hi] + ys[lo:hi] - 3, u, options)
         del u
-        if c is None:  # the model assigns no friend outcomes
-            c, d = (np.full(hi - lo, UNDEFINED, dtype=np.int8) for _ in "cd")
         if n_trials <= CHUNK:
-            return RunLog(model, xs, ys, a, b, c, d, lam, first_trial)
-        pieces = [a, b, c, d, *lam.values()]  # lam has the same keys in every piece
+            return RunLog(model, xs, ys, key, lam, first_trial)
+        pieces = [key, *lam.values()]  # lam has the same keys in every piece
         if lo == 0:
             columns = [np.empty(n_trials, piece.dtype) for piece in pieces]
         for column, piece in zip(columns, pieces):
             column[lo:hi] = piece
-    return RunLog(model, xs, ys, *columns[:4], dict(zip(lam, columns[4:])), first_trial)
+    return RunLog(model, xs, ys, columns[0], dict(zip(lam, columns[1:])), first_trial)

@@ -46,21 +46,12 @@ def sweep_tables(request) -> int:
 
 
 def synthetic_log(x, y, a, b, c=None, d=None, model="synthetic", lam=None):
-    """Hand-built array log for targeted statistics tests.  The default
-    model name declares no lambda binning, so no payload is needed."""
-    n = len(x)
-    as_i8 = lambda v: np.asarray(v, dtype=np.int8)
-    zeros = np.zeros(n, dtype=np.int8)
-    return RunLog(
-        model,
-        as_i8(x),
-        as_i8(y),
-        as_i8(a),
-        as_i8(b),
-        zeros if c is None else as_i8(c),
-        zeros.copy() if d is None else as_i8(d),
-        lam or {},
-    )
+    """Hand-built log for targeted statistics tests, through
+    ``RunLog.from_columns``.  The default model name declares no lambda
+    binning, so no payload is needed."""
+    undefined = np.zeros(len(x), dtype=np.int8)
+    c, d = (undefined if v is None else v for v in (c, d))
+    return RunLog.from_columns(model, x, y, a, b, c, d, lam or {})
 
 
 def singlet() -> qcore.StateVector:

@@ -288,8 +288,9 @@ def test_checks_match_with_a_setting_value_absent(absent):
 
 def test_checks_match_with_undefined_friends_and_empty_logs():
     log = _boundary_log(MODEL_COLLAPSE)
-    log.c[::7] = UNDEFINED
-    _assert_checks_match(log)
+    c = log.c.copy()
+    c[::7] = UNDEFINED
+    _assert_checks_match(synthetic_log(log.x, log.y, log.a, log.b, c, log.d, MODEL_COLLAPSE))
     with np.errstate(invalid="ignore"):  # the reference divides by zero trials
         _assert_checks_match(synthetic_log(x=[], y=[], a=[], b=[]))
 

@@ -38,6 +38,7 @@ from ewfs.models import (
     MODEL_TOY,
     MODELS,
     LhvOptions,
+    RunLog,
     ToyOptions,
     run_trials,
 )
@@ -553,14 +554,21 @@ def test_a_campaign_computes_correlators_and_facets_once(tmp_path, monkeypatch):
 
 
 def test_a_written_chunk_is_checked_once(tmp_path, monkeypatch):
-    # tabulate checks each chunk; the runs.csv writer keys it unchecked
+    # tabulate checks each chunk's keys once; neither the count nor the
+    # runs.csv writer builds per-trial outcome columns or re-keys them
     calls = []
 
-    def counted(log, _fn=inequality._check_log):
+    def counted(log, _fn=inequality.tabulate):
         calls.append(len(log))
         return _fn(log)
 
-    monkeypatch.setattr(inequality, "_check_log", counted)
+    def refused(*args):
+        raise AssertionError("per-trial outcome columns built")
+
+    monkeypatch.setattr(inequality, "tabulate", counted)
+    monkeypatch.setattr(RunLog, "from_columns", classmethod(refused))
+    for name in "abcd":
+        monkeypatch.setattr(RunLog, name, property(refused))
     monkeypatch.setattr(models, "CHUNK", 700)
     config = CampaignConfig(
         scenario=default_scenario(BRUKNER_EWFS, 2_000), model=MODEL_TOY, out_dir=tmp_path

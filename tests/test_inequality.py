@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.stats import chi2, chi2_contingency
 
 from conftest import analytic_expectations, analytic_quantum_S, singlet, synthetic_log
@@ -40,6 +39,7 @@ from ewfs.models import (
     MODEL_NAMES,
     TOY_OPTIMAL_CHSH,
     LhvOptions,
+    RunLog,
     ToyOptions,
     lhv_exact_expectations,
     run_trials,
@@ -84,18 +84,12 @@ def _table_s_max(probs) -> float:
 
 
 def _decide_loop(stat, threshold, conclusive):
-    """``decide`` written out cell by cell."""
-    stat, threshold, conclusive = np.broadcast_arrays(stat, threshold, conclusive)
-    any_conclusive, passed = False, True
-    cells = zip(stat.ravel().tolist(), threshold.ravel().tolist(), conclusive.ravel().tolist())
-    for s, t, c in cells:
-        if c:
-            any_conclusive = True
-            if math.isnan(s) or math.isnan(t):
-                raise ValueError("NaN in a conclusive cell")
-            if s > t:
-                passed = False
-    return passed if any_conclusive else None
+    """``decide`` written out case by case."""
+    if not conclusive:
+        return None
+    if math.isnan(stat) or math.isnan(threshold):
+        raise ValueError("NaN in a conclusive verdict")
+    return bool(stat <= threshold)
 
 
 def _outcome(rule, inputs):
@@ -113,18 +107,14 @@ _verdict_floats = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from(
 
 @st.composite
 def _verdict_inputs(draw):
-    """(stat, threshold, conclusive), each a Python scalar, a numpy scalar or
-    an array of one shared shape; small integers make ties common."""
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    """(stat, threshold, conclusive), each a Python or a numpy scalar; small
+    integers make ties common."""
 
     def one(elements, dtype):
-        kind = draw(st.sampled_from(["python", "numpy", "array"]))
-        if kind == "array":
-            return draw(hnp.arrays(dtype, shape, elements=elements))
         value = draw(elements)
-        return dtype(value) if kind == "numpy" else value
+        return dtype(value) if draw(st.booleans()) else value
 
-    numbers = st.integers(-2, 2).map(float) | _verdict_floats
+    numbers = st.integers(-2, 2) | st.integers(-2, 2).map(float) | _verdict_floats
     return one(numbers, np.float64), one(numbers, np.float64), one(st.booleans(), np.bool_)
 
 
@@ -132,34 +122,24 @@ def _verdict_inputs(draw):
 def test_decide_matches_the_cell_loop(inputs):
     got = _outcome(decide, inputs)
     assert got == _outcome(_decide_loop, inputs)
-    # report.json needs Python types on the scalar and the array path
+    # report.json needs Python types, from Python and numpy scalars alike
     assert got is ValueError or type(got) in (bool, type(None))
 
 
-@given(
-    threshold=st.floats(-1e300, 1e300, allow_nan=False),
-    shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
-)
-def test_decide_passes_a_tie_and_fails_the_next_float(threshold, shape):
-    above = np.nextafter(threshold, math.inf)
-    assert decide(threshold, threshold) is True
-    assert decide(above, threshold) is False
-    ties = np.full(shape, threshold)
-    assert decide(ties, ties) is True
-    assert decide(ties, threshold) is True
-    nudged = ties.copy()
-    nudged.flat[-1] = above
-    assert decide(nudged, ties) is False
-    conclusive = np.ones(shape, dtype=bool)
-    conclusive.flat[-1] = False
-    assert decide(nudged, ties, conclusive) is (True if conclusive.any() else None)
+@given(threshold=st.floats(-1e300, 1e300, allow_nan=False))
+def test_decide_passes_a_tie_and_fails_the_next_float(threshold):
+    above = math.nextafter(threshold, math.inf)
+    for number in (float, np.float64):
+        assert decide(number(threshold), number(threshold)) is True
+        assert decide(number(above), number(threshold)) is False
+        assert decide(number(above), number(threshold), False) is None
 
 
 @given(inputs=_verdict_inputs())
 def test_decide_without_a_conclusive_entry_is_none(inputs):
-    stat, threshold, conclusive = inputs
+    stat, threshold, _ = inputs
     assert decide(stat, threshold, False) is None
-    assert decide(stat, threshold, np.zeros(np.shape(conclusive), dtype=bool)) is None
+    assert decide(stat, threshold, np.False_) is None
 
 
 def test_a_nan_k_or_tol_raises_wherever_a_conclusive_verdict_reads_it():
@@ -228,9 +208,27 @@ def test_tabulate_rejects_settings_outside_two_setting_scenario():
 )
 def test_tabulate_rejects_outcomes_outside_their_values(outcomes):
     # A, B are +-1; C, D are +-1 or 0 (UNDEFINED).  These logs used to be
-    # counted into cells of other values with no error.
+    # counted into cells of other values with no error; now no log holds
+    # them, because RunLog.from_columns refuses to key them.
     with pytest.raises(ValueError, match="outcomes outside"):
         tabulate(synthetic_log(x=[1], y=[1], **outcomes))
+
+
+@pytest.mark.parametrize("key", [[0, 144], [255], [-1]])
+def test_tabulate_rejects_keys_outside_the_cells(key):
+    # a hand-built log, which no sampler or from_columns would give
+    settings = np.ones(len(key), dtype=np.int8)
+    with pytest.raises(ValueError, match=r"^cell keys outside 0\.\.143$"):
+        tabulate(RunLog("synthetic", settings, settings, np.array(key), {}))
+
+
+@pytest.mark.parametrize("bins", [[0, 16], [-1]])
+def test_tabulate_rejects_lambda_bins_outside_their_range(bins):
+    settings = np.ones(len(bins), dtype=np.int8)
+    key = np.zeros(len(bins), dtype=np.uint8)
+    log = RunLog(MODEL_LHV, settings, settings, key, {"strategy": np.array(bins, np.int16)})
+    with pytest.raises(ValueError, match=r"^lambda bins outside 0\.\.15$"):
+        tabulate(log)
 
 
 def test_expectations_match_direct_average():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import re
 
@@ -446,7 +447,7 @@ def _reference_log(spec, model, seed, options, first, n):
     a, b, c, d, lam = _REFERENCE[model](spec, xs, ys, u, options)
     if c is None:
         c, d = (np.full(n, UNDEFINED, dtype=np.int8) for _ in "cd")
-    return RunLog(model, xs, ys, a, b, c, d, lam, first)
+    return RunLog.from_columns(model, xs, ys, a, b, c, d, lam, first)
 
 
 def _bell(phi, trials):
@@ -484,6 +485,7 @@ def test_samplers_match_the_masked_reference_bitwise(spec, model, options, first
     got = run_trials(spec, model, seed=21, options=options, first_trial=first_trial)
     want = _reference_log(spec, model, 21, options, first_trial, n)
     assert sorted(got.lam) == sorted(want.lam)
+    assert got.key.dtype == want.key.dtype and got.key.tobytes() == want.key.tobytes()
     for name, g, w in zip("xyabcd" + "".join(sorted(got.lam)), _columns(got), _columns(want)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
@@ -494,6 +496,7 @@ def test_run_trials_column_dtypes(model, kind):
     if kind not in MODELS[model].kinds:
         pytest.skip("unsupported combination")
     log = run_trials(default_scenario(kind, 50), model, seed=0)
+    assert log.key.dtype == np.uint8
     assert [getattr(log, name).dtype for name in "xyabcd"] == [np.int8] * 6
     want = {MODEL_TOY: np.float64, MODEL_LHV: np.int16}.get(model)
     assert {key: col.dtype for key, col in log.lam.items()} == {
@@ -510,8 +513,8 @@ def test_lhv_never_draws_a_zero_weight_strategy():
     assert total == 1 - 2**-53
     u = np.array([0.0, 0.95, np.nextafter(total, 0), total])
     spec = default_scenario(BRUKNER_EWFS, u.size)
-    xs = ys = np.ones(u.size, dtype=np.int8)
-    *_, lam = _sample_lhv(spec, xs, ys, u[:, None], LhvOptions(weights))
+    pairs = np.zeros(u.size, dtype=np.int8)  # x = y = 1
+    _, lam = _sample_lhv(spec, pairs, u[:, None], LhvOptions(weights))
     np.testing.assert_array_equal(lam["strategy"], [0, 9, 9, 9])
 
 
@@ -526,7 +529,7 @@ def test_lhv_never_draws_a_zero_weight_strategy():
     ids=["uniform", "skewed", "zero-tail", "two-point"],
 )
 def test_strategy_search_matches_searchsorted_bitwise(weights):
-    """The gather search against searchsorted(side="right") and the
+    """The strategy search against searchsorted(side="right") and the
     last-nonzero clip, with u on, just below and just above every cumsum
     value, at 0 and at the largest u below 1."""
     cum = np.cumsum(weights)
@@ -785,6 +788,52 @@ def test_record_maps_undefined_to_none():
     assert set(np.unique(log.d[log.y == 1])) <= {-1, 1}
     np.testing.assert_array_equal(tail.c, log.c[50:])
     np.testing.assert_array_equal(tail.d, log.d[50:])
+
+
+def test_from_columns_keys_every_cell_in_count_table_order():
+    """The 144 valid (x, y, a, b, c, d) rows, in CountTable axis order (+1,
+    -1, UNDEFINED), get keys 0..143 in turn, so each key is hit once, and
+    the decoded columns give the rows back."""
+    rows = itertools.product((1, 2), (1, 2), (1, -1), (1, -1), (1, -1, 0), (1, -1, 0))
+    columns = [np.array(column, dtype=np.int8) for column in zip(*rows)]
+    log = RunLog.from_columns("synthetic", *columns, {})
+    assert log.key.dtype == np.uint8 and log.key.tolist() == list(range(144))
+    for name, column in zip("xyabcd", columns):
+        got = getattr(log, name)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, column)
+    assert (inequality.tabulate(log).counts == 1).all()
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"x": [0]}, "setting indices"),
+        ({"x": [3]}, "setting indices"),
+        ({"y": [-1]}, "setting indices"),
+        ({"a": [0], "b": [7], "c": [5], "d": [-3]}, "outcomes outside"),
+        ({"a": [0]}, "outcomes outside"),
+        ({"b": [7]}, "outcomes outside"),
+        ({"b": [-2]}, "outcomes outside"),
+        ({"c": [5]}, "outcomes outside"),
+        ({"c": [2]}, "outcomes outside"),
+        ({"d": [-3]}, "outcomes outside"),
+        ({"d": [0.5]}, "outcomes outside"),
+    ],
+)
+def test_from_columns_rejects_values_outside_their_sets(values, message):
+    columns = {"x": [1], "y": [2], "a": [1], "b": [-1], "c": [0], "d": [1], **values}
+    with pytest.raises(ValueError, match=message):
+        RunLog.from_columns("synthetic", lam={}, **columns)
+
+
+def test_decoded_columns_are_read_only():
+    log = run_trials(default_scenario(BRUKNER_EWFS, 20), MODEL_COLLAPSE, seed=0)
+    for name in "abcd":
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(log, name)[0] = UNDEFINED
+        with pytest.raises(AttributeError):
+            setattr(log, name, np.zeros(20, dtype=np.int8))
 
 
 def test_lambda_tag_is_sorted_and_parseable(tmp_path):
